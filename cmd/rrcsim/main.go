@@ -24,9 +24,10 @@
 // verizon-3g, verizon-lte), a Table 2 display name ("Verizon 3G"), or a
 // parameterized spec like 'att-hspa+(t1=4s)' overriding any measured
 // constant. -carrier remains as an alias of a single -profile. In fleet
-// mode -profile and -cohort repeat to sweep a grid: every combination of
-// profile × cohort × scheme runs as its own deterministic fleet cell,
-// rendered as one row per cell, e.g.
+// mode -profile and -cohort repeat to sweep a grid, submitted as one
+// jobs.Spec to an in-process jobs.Manager (the daemon's executor): every
+// combination of profile × cohort × scheme runs as its own deterministic
+// fleet cell, rendered as one row per cell, e.g.
 //
 //	rrcsim -users 500 -policy makeidle -profile verizon-3g -profile 'verizon-lte(t1=5s)'
 //	rrcsim -policy all -cohort 'study-3g(users=200)' -cohort 'mix(im=2,users=100)'
@@ -60,6 +61,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fleet"
+	"repro/internal/jobs"
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/power"
@@ -444,123 +446,121 @@ func resolveProfile(raw string) (power.Profile, error) {
 	return ps.Profile(power.Default())
 }
 
-// cohortFromFlag resolves a CLI cohort spec string against the cohort
-// registry, returning the runnable cohort plus its axis label.
-func cohortFromFlag(raw string, seed int64, burstGap time.Duration) (fleet.Cohort, string, error) {
+// cohortSpecFromFlag adapts a CLI cohort spec string to a validated
+// CohortSpec; its grid label derives from the registry.
+func cohortSpecFromFlag(raw string) (fleet.CohortSpec, error) {
 	sp, err := spec.Parse(raw)
 	if err != nil {
-		return fleet.Cohort{}, "", fmt.Errorf("cohort: %w", err)
+		return fleet.CohortSpec{}, fmt.Errorf("cohort: %w", err)
 	}
 	cs := fleet.CohortSpec{Name: sp.Name, Params: sp.Params}
-	cohort, err := fleet.CohortFromSpec(workload.Cohorts(), cs, seed,
-		&sim.Options{BurstGap: burstGap})
-	if err != nil {
-		return fleet.Cohort{}, "", fmt.Errorf("%w\nvalid cohorts:\n%s", err, workload.Cohorts().Usage())
+	if _, err := cs.Canonical(workload.Cohorts()); err != nil {
+		return fleet.CohortSpec{}, fmt.Errorf("%w\nvalid cohorts:\n%s", err, workload.Cohorts().Usage())
 	}
-	label, err := cs.ResolvedLabel(workload.Cohorts())
-	if err != nil {
-		return fleet.Cohort{}, "", err
-	}
-	return cohort, label, nil
+	return cs, nil
 }
 
-// runFleet replays synthetic cohorts on the sharded runtime and prints
-// streaming aggregates — no per-user result is retained. A single profile
-// with the flat -users population keeps the historical single-table
-// output; repeated -profile/-cohort flags sweep a grid, one deterministic
-// fleet run per cohort × profile × scheme cell, rendered one row per cell.
+// runFleet replays synthetic cohorts and prints streaming aggregates — no
+// per-user result is retained. A single profile with the flat -users
+// population keeps the historical single-table output on the fleet
+// runtime; repeated -profile or any -cohort flags sweep a grid, submitted
+// as one jobs.Spec to an in-process jobs.Manager (the daemon's executor)
+// and rendered one row per cohort × profile × scheme cell.
 func runFleet(profileFlags, cohortFlags []string, users int, seed int64, duration time.Duration, polName, actName string, burstGap time.Duration, fopts fleet.Options) error {
-	var schemes []fleet.Scheme
+	var schemes []fleet.SchemeSpec
 	if polName == "all" {
-		schemes = experiments.FleetSchemes(burstGap)
+		schemes = experiments.PaperSchemeSpecs(burstGap)
 	} else {
-		s, err := fleetScheme(polName, actName, burstGap)
+		ss, err := schemeSpecFromFlags(polName, actName, burstGap)
 		if err != nil {
 			return err
 		}
-		schemes = []fleet.Scheme{s}
-	}
-
-	var cohorts []experiments.LabeledCohort
-	if len(cohortFlags) == 0 {
-		// Flat -users population: the historical default, a diurnal cohort
-		// cycling the Verizon 3G study mixes.
-		cohorts = []experiments.LabeledCohort{{
-			Cohort: fleet.Cohort{
-				Users: users, Seed: seed, Duration: duration, Diurnal: true,
-				Opts: &sim.Options{BurstGap: burstGap},
-			},
-			Label: fmt.Sprintf("users=%d", users),
-		}}
-	} else {
-		for _, raw := range cohortFlags {
-			cohort, label, err := cohortFromFlag(raw, seed, burstGap)
-			if err != nil {
-				return err
-			}
-			cohorts = append(cohorts, experiments.LabeledCohort{Cohort: cohort, Label: label})
-		}
-	}
-
-	profs := make([]power.Profile, 0, len(profileFlags))
-	for _, raw := range profileFlags {
-		prof, err := resolveProfile(raw)
-		if err != nil {
-			return err
-		}
-		profs = append(profs, prof)
+		schemes = []fleet.SchemeSpec{ss}
 	}
 
 	// The historical single-axis shape keeps its output byte for byte.
-	if len(profs) == 1 && len(cohortFlags) == 0 {
-		cohort := cohorts[0].Cohort
-		jobs := cohort.Jobs(profs[0], schemes)
+	if len(profileFlags) == 1 && len(cohortFlags) == 0 {
+		prof, err := resolveProfile(profileFlags[0])
+		if err != nil {
+			return err
+		}
+		resolved := make([]fleet.Scheme, len(schemes))
+		for i, ss := range schemes {
+			if resolved[i], err = fleet.SchemeFromSpec(policy.Default(), ss); err != nil {
+				return err
+			}
+		}
+		// Flat -users population: a diurnal cohort cycling the Verizon 3G
+		// study mixes.
+		cohort := fleet.Cohort{
+			Users: users, Seed: seed, Duration: duration, Diurnal: true,
+			Opts: &sim.Options{BurstGap: burstGap},
+		}
 		start := time.Now()
-		sum, err := fleet.RunSummary(jobs, fopts, fleet.SummaryConfig{})
+		sum, err := fleet.RunSummary(cohort.Jobs(prof, resolved), fopts, fleet.SummaryConfig{})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("fleet: %d users x %d schemes on %s (%s traces, streamed) in %s\n",
-			cohort.Users, len(schemes), profs[0].Name, cohort.Duration,
+			cohort.Users, len(resolved), prof.Name, cohort.Duration,
 			time.Since(start).Round(time.Millisecond))
 		fmt.Print(report.SummaryTable(sum).String())
 		return nil
 	}
 
-	// Grid sweep, through the shared cell runner — the same execution
-	// shape (cohort-major cell order, one fleet run per cell, and
-	// therefore the same bytes per cell) as the service's grid jobs.
+	grid := jobs.Spec{Seed: seed, BurstGap: jobs.Duration(burstGap), Shards: fopts.Shards, Schemes: schemes}
+	for _, raw := range profileFlags {
+		ps, err := profileSpecFromFlag(raw)
+		if err != nil {
+			return err
+		}
+		grid.Profiles = append(grid.Profiles, ps)
+	}
+	if len(cohortFlags) == 0 {
+		grid.Cohorts = []fleet.CohortSpec{{
+			Label:  fmt.Sprintf("users=%d", users),
+			Name:   "study-3g",
+			Params: map[string]any{"users": users, "duration": duration},
+		}}
+	}
+	for _, raw := range cohortFlags {
+		cs, err := cohortSpecFromFlag(raw)
+		if err != nil {
+			return err
+		}
+		grid.Cohorts = append(grid.Cohorts, cs)
+	}
 	start := time.Now()
-	cells, err := experiments.GridCells(fopts, cohorts, profs, schemes)
+	res, err := experiments.RunGrid(grid, fopts.Workers)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("fleet grid: %d cohorts x %d profiles x %d schemes = %d cells in %s\n",
-		len(cohorts), len(profs), len(schemes), len(cells),
+		len(grid.Cohorts), len(grid.Profiles), len(grid.Schemes), len(res.Cells),
 		time.Since(start).Round(time.Millisecond))
-	fmt.Print(report.GridTable(cells).String())
+	fmt.Print(res.GridTable().String())
 	return nil
 }
 
-// fleetScheme adapts the CLI policy spec strings to a fleet scheme. Plain
-// flat names keep their legacy summary labels ("makeidle+learn");
+// schemeSpecFromFlags adapts the CLI policy spec strings to a scheme spec.
+// Plain flat names keep their legacy summary labels ("makeidle+learn");
 // parameterized specs get derived labels ("fixedtail(wait=2s)").
-func fleetScheme(polName, actName string, burstGap time.Duration) (fleet.Scheme, error) {
+func schemeSpecFromFlags(polName, actName string, burstGap time.Duration) (fleet.SchemeSpec, error) {
 	dspec, err := policy.ParseSpec(polName)
 	if err != nil {
-		return fleet.Scheme{}, err
+		return fleet.SchemeSpec{}, err
 	}
 	if _, _, err := policy.Default().Resolve(policy.RoleDemote, dspec); err != nil {
-		return fleet.Scheme{}, withUsage(err, policy.RoleDemote)
+		return fleet.SchemeSpec{}, withUsage(err, policy.RoleDemote)
 	}
 	aspec, err := policy.ParseSpec(actName)
 	if err != nil {
-		return fleet.Scheme{}, err
+		return fleet.SchemeSpec{}, err
 	}
 	aspec = fleet.WithFixBurstGap(aspec, burstGap)
 	aschema, _, err := policy.Default().Resolve(policy.RoleActive, aspec)
 	if err != nil {
-		return fleet.Scheme{}, withUsage(err, policy.RoleActive)
+		return fleet.SchemeSpec{}, withUsage(err, policy.RoleActive)
 	}
 	// Summary labels are decided per flag half: a flat spelling keeps its
 	// legacy label (the ParseSpec-trimmed name, aliases included — "4.5s"
@@ -574,18 +574,18 @@ func fleetScheme(polName, actName string, burstGap time.Duration) (fleet.Scheme,
 	}
 	label, err := labelFor(polName, policy.RoleDemote, dspec)
 	if err != nil {
-		return fleet.Scheme{}, err
+		return fleet.SchemeSpec{}, err
 	}
 	ss := fleet.SchemeSpec{Label: label, Policy: dspec}
 	if aschema.Name != fleet.ActiveNone {
 		alabel, err := labelFor(actName, policy.RoleActive, aspec)
 		if err != nil {
-			return fleet.Scheme{}, err
+			return fleet.SchemeSpec{}, err
 		}
 		ss.Label = label + "+" + alabel
 		ss.Active = &aspec
 	}
-	return fleet.SchemeFromSpec(policy.Default(), ss)
+	return ss, nil
 }
 
 func fatal(err error) {

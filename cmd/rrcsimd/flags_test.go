@@ -45,7 +45,7 @@ func TestFlagStructCoversFlagSet(t *testing.T) {
 	registerFlags(fs)
 	n := 0
 	fs.VisitAll(func(*flag.Flag) { n++ })
-	const fields = 12 // fields of daemonFlags
+	const fields = 11 // fields of daemonFlags
 	if n != fields {
 		t.Fatalf("registerFlags declared %d flags, daemonFlags has %d fields — keep them in one place",
 			n, fields)

@@ -72,7 +72,10 @@ func TestDaemonSmoke(t *testing.T) {
 	}
 
 	resp, err := http.Post(base+"/v1/jobs", "application/json",
-		strings.NewReader(`{"users": 2, "seed": 9, "duration": "5m", "shards": 2}`))
+		strings.NewReader(`{"seed": 9, "shards": 2,
+			"schemes": [{"label": "makeidle", "policy": {"name": "makeidle"}}],
+			"profiles": [{"label": "Verizon 3G", "name": "Verizon 3G"}],
+			"cohorts": [{"name": "study-3g", "params": {"users": 2, "duration": "5m"}}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,40 +174,6 @@ func TestDaemonPprofFlag(t *testing.T) {
 		t.Fatal("API listener serves pprof; it must stay on the side listener")
 	}
 
-	cancel()
-	if err := <-errCh; err != nil {
-		t.Fatalf("shutdown returned %v", err)
-	}
-}
-
-// TestDaemonDefaultProfileFlag: -profile sets the default carrier for
-// legacy flat payloads that name none.
-func TestDaemonDefaultProfileFlag(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	base, errCh := startDaemon(t, ctx,
-		[]string{"-addr", "127.0.0.1:0", "-profile", "att-hspa+"})
-	resp, err := http.Post(base+"/v1/jobs", "application/json",
-		strings.NewReader(`{"users": 1, "seed": 3, "duration": "5m"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit returned %d: %s", resp.StatusCode, body)
-	}
-	var st struct {
-		Spec struct {
-			Profile string `json:"profile"`
-		} `json:"spec"`
-	}
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Spec.Profile != "att-hspa+" {
-		t.Fatalf("default profile not applied: %q", st.Spec.Profile)
-	}
 	cancel()
 	if err := <-errCh; err != nil {
 		t.Fatalf("shutdown returned %v", err)

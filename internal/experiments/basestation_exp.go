@@ -124,14 +124,14 @@ func LifetimeEstimate(cfg Config) (string, error) {
 	// the radio's share to the 2G/14h vs 3G/6.7h gap.
 	totalMW := b.EnergyJ() / (6.7 * 3600) * 1000
 	const radioShare = 0.52
-	for _, prof := range power.Carriers() {
-		savings, _, err := CarrierResults(prof, cfg)
-		if err != nil {
-			return "", err
-		}
-		mi := savings[SchemeMakeIdle]
-		comb := savings[SchemeCombLearn]
-		t.AddRowf(prof.Name,
+	rows, err := CarrierResults(cfg)
+	if err != nil {
+		return "", err
+	}
+	for _, r := range rows {
+		mi := r.Savings[SchemeMakeIdle]
+		comb := r.Savings[SchemeCombLearn]
+		t.AddRowf(r.Carrier,
 			mi, b.LifetimeGain(totalMW, radioShare, mi).Hours(),
 			comb, b.LifetimeGain(totalMW, radioShare, comb).Hours())
 	}

@@ -149,12 +149,13 @@ type SchemeResult struct {
 	SavedPerSwitchJ float64
 }
 
-// FleetSchemes returns the six evaluated schemes as fleet schemes, in
-// figure-legend order, built through the policy registry (the same specs
-// the CLI flags and the /v1 HTTP API resolve) with the paper's
-// figure-legend labels. burstGap parameterizes the trace-fitted
-// MakeActive bound (<= 0 means the simulator's 1 s default).
-func FleetSchemes(burstGap time.Duration) []fleet.Scheme {
+// PaperSchemeSpecs lists the six evaluated schemes as scheme specs, in
+// figure-legend order with the legend labels, built on the policy
+// registry (the same specs the CLI flags and the /v1 HTTP API resolve).
+// The grid figures submit this list; FleetSchemes resolves it for the
+// per-trace figures. burstGap parameterizes the trace-fitted MakeActive
+// bound (<= 0 means the simulator's 1 s default).
+func PaperSchemeSpecs(burstGap time.Duration) []fleet.SchemeSpec {
 	if burstGap <= 0 {
 		burstGap = time.Second
 	}
@@ -166,7 +167,7 @@ func FleetSchemes(burstGap time.Duration) []fleet.Scheme {
 		ss.Active = &policy.Spec{Name: active, Params: params}
 		return ss
 	}
-	specs := []fleet.SchemeSpec{
+	return []fleet.SchemeSpec{
 		demote(SchemeFourFive, "4.5s"),
 		demote(Scheme95IAT, "95iat"),
 		demote(SchemeMakeIdle, "makeidle"),
@@ -174,6 +175,11 @@ func FleetSchemes(burstGap time.Duration) []fleet.Scheme {
 		combined(SchemeCombLearn, "learn", nil),
 		combined(SchemeCombFix, "fix", map[string]any{"burstgap": burstGap}),
 	}
+}
+
+// FleetSchemes resolves PaperSchemeSpecs into runnable fleet schemes.
+func FleetSchemes(burstGap time.Duration) []fleet.Scheme {
+	specs := PaperSchemeSpecs(burstGap)
 	schemes := make([]fleet.Scheme, len(specs))
 	for i, ss := range specs {
 		s, err := fleet.SchemeFromSpec(policy.Default(), ss)

@@ -115,18 +115,21 @@ func TestHeadlineSavingsBand(t *testing.T) {
 	// The paper reports 51-66% savings for MakeIdle on 3G and 67% on LTE.
 	// Synthetic traces will not match exactly; require the right ballpark
 	// (>= 30% on both Verizon profiles for the averaged cohort).
-	cfg := quickCfg()
-	for _, prof := range []power.Profile{power.Verizon3G, power.VerizonLTE} {
-		savings, _, err := CarrierResults(prof, cfg)
-		if err != nil {
-			t.Fatal(err)
+	rows, err := CarrierResults(quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if r.Carrier != power.Verizon3G.Name && r.Carrier != power.VerizonLTE.Name {
+			continue
 		}
+		savings := r.Savings
 		if got := savings[SchemeMakeIdle]; got < 30 {
-			t.Errorf("%s: MakeIdle mean savings %.1f%% below plausibility band", prof.Name, got)
+			t.Errorf("%s: MakeIdle mean savings %.1f%% below plausibility band", r.Carrier, got)
 		}
 		if savings[SchemeOracle] < savings[SchemeMakeIdle]-15 {
 			t.Errorf("%s: Oracle (%.1f%%) implausibly below MakeIdle (%.1f%%)",
-				prof.Name, savings[SchemeOracle], savings[SchemeMakeIdle])
+				r.Carrier, savings[SchemeOracle], savings[SchemeMakeIdle])
 		}
 	}
 }
@@ -219,17 +222,23 @@ func TestDelayComparisonLearnBeatsFixed(t *testing.T) {
 
 func TestCarrierResultsDeterministic(t *testing.T) {
 	cfg := Config{Seed: 5, AppDuration: 30 * time.Minute, UserDuration: time.Hour}
-	a, _, err := CarrierResults(power.Verizon3G, cfg)
+	a, err := CarrierResults(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := CarrierResults(power.Verizon3G, cfg)
+	b, err := CarrierResults(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k, v := range a {
-		if math.Abs(b[k]-v) > 1e-9 {
-			t.Fatalf("scheme %s differs across identical runs: %v vs %v", k, v, b[k])
+	if len(a) != 4 || len(b) != len(a) {
+		t.Fatalf("got %d and %d carrier rows, want 4", len(a), len(b))
+	}
+	for i := range a {
+		for k, v := range a[i].Savings {
+			if math.Abs(b[i].Savings[k]-v) > 1e-9 {
+				t.Fatalf("%s scheme %s differs across identical runs: %v vs %v",
+					a[i].Carrier, k, v, b[i].Savings[k])
+			}
 		}
 	}
 }

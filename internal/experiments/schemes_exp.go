@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/fleet"
+	"repro/internal/jobs"
 	"repro/internal/power"
 	"repro/internal/report"
 	"repro/internal/trace"
@@ -91,104 +92,91 @@ func Fig11(cfg Config) (string, error) {
 	return perUserTables("Figure 11: Verizon LTE", workload.VerizonLTEUsers(), power.VerizonLTE, cfg)
 }
 
-// CarrierResults runs the study cohort against one carrier profile and
-// averages each scheme's metrics — the computation behind Figs. 17/18.
+// CarrierResult is one carrier's row of Figs. 17/18: each scheme's
+// cohort-mean energy savings and normalized state-switch count.
+type CarrierResult struct {
+	Carrier string
+	Savings map[string]float64
+	Ratios  map[string]float64
+}
+
+// CarrierResults runs the study cohort against the four Table 2 carriers —
+// the computation behind Figs. 17/18 — as one scheme × carrier grid job.
 // The same cohort (the full 3G study mixes, stationary, one user per mix)
-// is replayed against every carrier, as in §6.5. It is built on the grid
-// path: the cohort comes from the cohort registry and each scheme is one
-// independent fleet cell over the identical streamed cohort, so results
-// are identical for any worker count and byte-identical to the service's
-// grid cells on the same spec.
-func CarrierResults(prof power.Profile, cfg Config) (map[string]float64, map[string]float64, error) {
+// is replayed against every carrier, as in §6.5. Rows come in figure
+// order, and results are identical for any worker count.
+func CarrierResults(cfg Config) ([]CarrierResult, error) {
 	cfg = cfg.withDefaults()
-	lc, err := CohortFor(fleet.CohortSpec{
-		Name: "study-3g",
-		Params: map[string]any{
+	var profiles []power.ProfileSpec
+	for _, prof := range power.Carriers() {
+		profiles = append(profiles, power.ProfileSpec{Label: prof.Name, Name: prof.Name})
+	}
+	res, err := cfg.runGrid(jobs.Spec{
+		Schemes:  PaperSchemeSpecs(0),
+		Profiles: profiles,
+		Cohorts: []fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{
 			"users":    len(workload.Verizon3GUsers()),
 			"duration": cfg.UserDuration.String(),
 			"diurnal":  false,
-		},
-	}, cfg.Seed)
+		}}},
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cells, err := GridCells(cfg.fleetOpts(), []LabeledCohort{lc},
-		[]power.Profile{prof}, FleetSchemes(0))
-	if err != nil {
-		return nil, nil, err
-	}
-	savings := map[string]float64{}
-	ratios := map[string]float64{}
-	for _, c := range cells {
-		a := c.Summary.Schemes[c.Scheme]
-		savings[c.Scheme] = a.SavingsPct.Mean
-		ratios[c.Scheme] = a.SwitchRatio.Mean
-	}
-	return savings, ratios, nil
-}
-
-// carrierProfiles returns the four Table 2 carriers as registry-resolved
-// profiles in figure order, keeping the paper display names as labels.
-func carrierProfiles() ([]power.Profile, error) {
-	reg := power.Default()
-	profs := make([]power.Profile, 0, len(reg.Aliases()))
-	for _, display := range []string{
-		power.TMobile3G.Name, power.ATTHSPAPlus.Name, power.Verizon3G.Name, power.VerizonLTE.Name,
-	} {
-		prof, err := power.ProfileSpec{Label: display, Name: display}.Profile(reg)
-		if err != nil {
-			return nil, err
+	// Cells come profile-major, so each carrier's schemes are contiguous.
+	var rows []CarrierResult
+	for _, c := range res.Cells {
+		if len(rows) == 0 || rows[len(rows)-1].Carrier != c.Profile {
+			rows = append(rows, CarrierResult{
+				Carrier: c.Profile, Savings: map[string]float64{}, Ratios: map[string]float64{},
+			})
 		}
-		profs = append(profs, prof)
+		a := c.Summary.Schemes[c.Scheme]
+		rows[len(rows)-1].Savings[c.Scheme] = a.SavingsPct.Mean
+		rows[len(rows)-1].Ratios[c.Scheme] = a.SwitchRatio.Mean
 	}
-	return profs, nil
+	return rows, nil
 }
 
-// Fig17 regenerates Figure 17: mean energy saved per carrier per scheme.
-func Fig17(cfg Config) (string, error) {
-	cfg = cfg.withDefaults()
-	headers := append([]string{"Carrier"}, SchemeNames()...)
-	t := report.NewTable("Figure 17: energy saved for different carrier parameters (%)", headers...)
-	profs, err := carrierProfiles()
+// carrierTable renders one per-carrier metric of CarrierResults as a
+// carrier × scheme table.
+func carrierTable(cfg Config, title string, metric func(CarrierResult) map[string]float64) (string, error) {
+	rows, err := CarrierResults(cfg)
 	if err != nil {
 		return "", err
 	}
-	for _, prof := range profs {
-		savings, _, err := CarrierResults(prof, cfg)
-		if err != nil {
-			return "", fmt.Errorf("fig17 %s: %w", prof.Name, err)
-		}
-		row := []interface{}{prof.Name}
-		for _, k := range schemeOrder(savings) {
-			row = append(row, savings[k])
+	headers := append([]string{"Carrier"}, SchemeNames()...)
+	t := report.NewTable(title, headers...)
+	for _, r := range rows {
+		m := metric(r)
+		row := []interface{}{r.Carrier}
+		for _, k := range schemeOrder(m) {
+			row = append(row, m[k])
 		}
 		t.AddRowf(row...)
 	}
 	return t.String(), nil
+}
+
+// Fig17 regenerates Figure 17: mean energy saved per carrier per scheme.
+func Fig17(cfg Config) (string, error) {
+	out, err := carrierTable(cfg, "Figure 17: energy saved for different carrier parameters (%)",
+		func(r CarrierResult) map[string]float64 { return r.Savings })
+	if err != nil {
+		return "", fmt.Errorf("fig17: %w", err)
+	}
+	return out, nil
 }
 
 // Fig18 regenerates Figure 18: mean state switches normalized by the status
 // quo, per carrier per scheme.
 func Fig18(cfg Config) (string, error) {
-	cfg = cfg.withDefaults()
-	headers := append([]string{"Carrier"}, SchemeNames()...)
-	t := report.NewTable("Figure 18: state switches normalized by status quo", headers...)
-	profs, err := carrierProfiles()
+	out, err := carrierTable(cfg, "Figure 18: state switches normalized by status quo",
+		func(r CarrierResult) map[string]float64 { return r.Ratios })
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("fig18: %w", err)
 	}
-	for _, prof := range profs {
-		_, ratios, err := CarrierResults(prof, cfg)
-		if err != nil {
-			return "", fmt.Errorf("fig18 %s: %w", prof.Name, err)
-		}
-		row := []interface{}{prof.Name}
-		for _, k := range schemeOrder(ratios) {
-			row = append(row, ratios[k])
-		}
-		t.AddRowf(row...)
-	}
-	return t.String(), nil
+	return out, nil
 }
 
 // DormancySensitivity re-runs MakeIdle with the fast-dormancy cost modelled

@@ -79,7 +79,7 @@ func TestStreamedCohortMatchesMaterialized(t *testing.T) {
 // TestFitTraceSchemeStreams: a trace-fitted scheme (95% IAT) on Source
 // jobs materializes in-worker and still matches the Gen-backed run.
 func TestFitTraceSchemeStreams(t *testing.T) {
-	scheme, err := fleet.NamedScheme(fleet.Policy95IAT, fleet.ActiveNone, time.Second)
+	scheme, err := fleet.SchemeFromSpec(policy.Default(), fleet.SchemeSpec{Policy: policy.Spec{Name: "95iat"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,16 +147,21 @@ func TestFitPassSeesTraceThenReplayStreams(t *testing.T) {
 // TestOnlineSchemesNotMarkedFitted: the fleet-scale schemes stay
 // streaming-eligible.
 func TestOnlineSchemesNotMarkedFitted(t *testing.T) {
-	for _, name := range []string{fleet.PolicyStatusQuo, fleet.PolicyFourFive, fleet.PolicyOracle, fleet.PolicyMakeIdle} {
-		s, err := fleet.NamedScheme(name, fleet.ActiveLearn, time.Second)
+	scheme := func(demote, active string) fleet.Scheme {
+		t.Helper()
+		s, err := fleet.SchemeFromSpec(policy.Default(), fleet.SchemeSpec{
+			Policy: policy.Spec{Name: demote}, Active: &policy.Spec{Name: active}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.FitTrace {
+		return s
+	}
+	for _, name := range []string{"statusquo", "4.5s", "oracle", "makeidle"} {
+		if scheme(name, "learn").FitTrace {
 			t.Errorf("%s+learn wrongly marked trace-fitted", name)
 		}
 	}
-	if s, _ := fleet.NamedScheme(fleet.PolicyMakeIdle, fleet.ActiveFix, time.Second); !s.FitTrace {
+	if !scheme("makeidle", "fix").FitTrace {
 		t.Error("active=fix not marked trace-fitted")
 	}
 }

@@ -18,16 +18,17 @@ import (
 // result cache, so this is the regression guard for axisCache.
 func TestPlanFingerprintMatchesFingerprint(t *testing.T) {
 	specs := map[string]Spec{
-		"legacy-flat": {Users: 5, Seed: 3, Duration: Duration(20 * time.Minute)},
+		// The canonical rewrite of the flat payload {users: 5, seed: 3, duration: 20m}.
+		"legacy-flat": defaultSpec(5, 3, "20m"),
 		"grid": {
 			Seed:   1,
 			Shards: 4,
 			Schemes: []fleet.SchemeSpec{
-				{Policy: policy.Spec{Name: fleet.PolicyMakeIdle}},
+				{Policy: policy.Spec{Name: "makeidle"}},
 				{Label: "tail2s", Policy: policy.Spec{Name: "fixedtail",
 					Params: map[string]any{"wait": "2s"}}},
-				{Label: "batched", Policy: policy.Spec{Name: fleet.PolicyMakeIdle},
-					Active: &policy.Spec{Name: fleet.ActiveFix}},
+				{Label: "batched", Policy: policy.Spec{Name: "makeidle"},
+					Active: &policy.Spec{Name: "fix"}},
 			},
 			Profiles: []power.ProfileSpec{
 				{Name: "verizon-3g"},
@@ -38,10 +39,7 @@ func TestPlanFingerprintMatchesFingerprint(t *testing.T) {
 			},
 		},
 		// Alias spelling must fingerprint as its canonical resolution.
-		"alias": {
-			Users: 2, Seed: 9,
-			Schemes: []fleet.SchemeSpec{{Policy: policy.Spec{Name: "4.5s"}}},
-		},
+		"alias": withScheme(defaultSpec(2, 9, "4h"), "", policy.Spec{Name: "4.5s"}, nil),
 	}
 	for name, raw := range specs {
 		t.Run(name, func(t *testing.T) {

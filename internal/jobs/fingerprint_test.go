@@ -12,7 +12,9 @@ import (
 )
 
 func sweepSpec(schemes ...fleet.SchemeSpec) Spec {
-	return Spec{Users: 5, Seed: 3, Duration: Duration(30 * time.Minute), Schemes: schemes}
+	s := defaultSpec(5, 3, "30m")
+	s.Schemes = schemes
+	return s
 }
 
 // TestFingerprintStableAcrossParamEncodings: the v3 fingerprint hashes
@@ -92,11 +94,11 @@ func TestFingerprintMovesWithAnyParamChange(t *testing.T) {
 	}
 }
 
-// TestLegacyNameAliasFingerprints: every legacy flat-name payload
-// fingerprints identically to its explicit spec form — the alias mapping
-// the /v1 back-compat path relies on — for every old flat name.
+// TestLegacyNameAliasFingerprints: every legacy policy name, spelled as a
+// scheme spec under the same label, fingerprints identically to its
+// explicit canonical spec form — registry aliases are data, so the old
+// names stay interchangeable with what they denote.
 func TestLegacyNameAliasFingerprints(t *testing.T) {
-	base := Spec{Users: 5, Seed: 3, Duration: Duration(30 * time.Minute)}
 	cases := []struct {
 		pol, act string
 		scheme   fleet.SchemeSpec
@@ -115,29 +117,28 @@ func TestLegacyNameAliasFingerprints(t *testing.T) {
 			Active: &policy.Spec{Name: "fix", Params: map[string]any{"burstgap": "1s"}}}},
 	}
 	for _, c := range cases {
-		legacy := base
-		legacy.Policy, legacy.Active = c.pol, c.act
-		speced := base
-		speced.Schemes = []fleet.SchemeSpec{c.scheme}
-		if legacy.Fingerprint() != speced.Fingerprint() {
+		var active *policy.Spec
+		if c.act != "" {
+			active = &policy.Spec{Name: c.act}
+		}
+		alias := sweepSpec(fleet.SchemeSpec{Label: c.scheme.Label, Policy: policy.Spec{Name: c.pol}, Active: active})
+		if alias.Fingerprint() != sweepSpec(c.scheme).Fingerprint() {
 			t.Errorf("legacy %s/%s does not fingerprint like its spec form", c.pol, c.act)
 		}
 	}
 }
 
 // TestBurstGapSeedsFixScheme: the job-level burst gap reaches a "fix"
-// active spec that does not pin its own, in both the legacy flat form
-// and the schemes form — the two spellings fingerprint (and therefore
-// compute) identically — while an explicit burstgap param wins.
+// active spec that does not pin its own — it fingerprints (and therefore
+// computes) exactly like the spec pinning that gap — while an explicit
+// burstgap param wins.
 func TestBurstGapSeedsFixScheme(t *testing.T) {
-	legacy := Spec{Users: 5, Seed: 3, Duration: Duration(30 * time.Minute),
-		Policy: "makeidle", Active: "fix", BurstGap: Duration(2 * time.Second)}
-	speced := Spec{Users: 5, Seed: 3, Duration: Duration(30 * time.Minute),
-		BurstGap: Duration(2 * time.Second),
-		Schemes: []fleet.SchemeSpec{{Label: "makeidle+fix",
-			Policy: policy.Spec{Name: "makeidle"}, Active: &policy.Spec{Name: "fix"}}}}
-	if legacy.Fingerprint() != speced.Fingerprint() {
-		t.Fatal("schemes form ignores the job burst gap the legacy form applies")
+	speced := withBurstGap(withScheme(defaultSpec(5, 3, "30m"), "makeidle+fix",
+		policy.Spec{Name: "makeidle"}, &policy.Spec{Name: "fix"}), 2*time.Second)
+	explicit := withScheme(speced, "makeidle+fix", policy.Spec{Name: "makeidle"},
+		&policy.Spec{Name: "fix", Params: map[string]any{"burstgap": "2s"}})
+	if explicit.Fingerprint() != speced.Fingerprint() {
+		t.Fatal("schemes form ignores the job burst gap")
 	}
 	canon, err := speced.withDefaults().Schemes[0].Canonical(registry())
 	if err != nil {
@@ -161,8 +162,8 @@ func TestBurstGapSeedsFixScheme(t *testing.T) {
 // TestFingerprintV4StableAcrossAxisSpellings: the v4 fingerprint hashes
 // canonical encodings on all three axes, so every way of writing the same
 // grid — display-name vs canonical profile names, omitted vs explicit
-// defaults on any axis, flat legacy fields vs one-entry axis lists, any
-// param-map construction order — produces one fingerprint.
+// defaults on any axis, any param-map construction order — produces one
+// fingerprint.
 func TestFingerprintV4StableAcrossAxisSpellings(t *testing.T) {
 	base := Spec{Seed: 3, Shards: 8,
 		Schemes:  []fleet.SchemeSpec{{Policy: policy.Spec{Name: "makeidle"}}},
@@ -203,14 +204,12 @@ func TestFingerprintV4StableAcrossAxisSpellings(t *testing.T) {
 			t.Fatal("fingerprint depends on profile param map ordering")
 		}
 	}
-	// The flat legacy profile field and its labeled one-entry axis agree.
-	flat := Spec{Users: 5, Seed: 3, Duration: Duration(30 * time.Minute), Profile: "Verizon LTE"}
-	axis := Spec{Seed: 3,
-		Profiles: []power.ProfileSpec{{Label: "Verizon LTE", Name: "Verizon LTE"}},
-		Cohorts:  []fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{"users": 5, "duration": "30m"}}},
-	}
-	if flat.Fingerprint() != axis.Fingerprint() {
-		t.Fatal("flat profile/users payload does not fingerprint like its axis form")
+	// A display-name profile and its canonical name agree under one label.
+	display := withProfile(defaultSpec(5, 3, "30m"), "Verizon LTE")
+	canonical := display
+	canonical.Profiles = []power.ProfileSpec{{Label: "Verizon LTE", Name: "verizon-lte"}}
+	if display.Fingerprint() != canonical.Fingerprint() {
+		t.Fatal("display-name profile does not fingerprint like its canonical name")
 	}
 }
 
@@ -263,6 +262,14 @@ func TestFingerprintV4MovesWithAnyAxisChange(t *testing.T) {
 	check("unknown profile", withProfiles(power.ProfileSpec{Name: "AT&T 3G"}))
 }
 
+// admit runs a spec through Submit's admission: normalization, then one
+// resolution of every axis value.
+func admit(s Spec) error {
+	s = s.withDefaults()
+	_, _, err := s.planFingerprint(fleet.Options{Shards: s.Shards}, nil)
+	return err
+}
+
 // TestSpecValidateAxes: grid-specific admission rules on the profile and
 // cohort axes.
 func TestSpecValidateAxes(t *testing.T) {
@@ -273,26 +280,14 @@ func TestSpecValidateAxes(t *testing.T) {
 			{Name: "study-3g", Params: map[string]any{"users": 2, "duration": "10m"}},
 			{Name: "mix", Params: map[string]any{"users": 2, "duration": "10m"}},
 		},
-	}.withDefaults()
-	if err := good.validate(); err != nil {
+	}
+	if err := admit(good); err != nil {
 		t.Fatalf("valid grid rejected: %v", err)
 	}
-	// Legacy payloads with sub-minute durations predate the cohort schema
-	// and must keep validating (the compat contract the flat→axis mapping
-	// promises).
-	if err := (Spec{Users: 2, Seed: 1, Duration: Duration(30 * time.Second)}).withDefaults().validate(); err != nil {
-		t.Fatalf("sub-minute legacy duration rejected: %v", err)
-	}
-	// Stale flat fields next to an explicit cohort axis are documented as
-	// ignored: they must neither fail validation nor survive normalization.
-	stale := Spec{Users: MaxUsers + 1, Duration: MaxDuration + 1, Seed: 1,
-		Cohorts: []fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{"users": 2, "duration": "10m"}}},
-	}.withDefaults()
-	if err := stale.validate(); err != nil {
-		t.Fatalf("ignored flat fields rejected a valid explicit-cohort spec: %v", err)
-	}
-	if stale.Users != 0 || stale.Duration != 0 {
-		t.Fatalf("ignored flat fields survived normalization: %+v", stale)
+	// Sub-minute durations predate the cohort schema and must keep
+	// validating, so specs stored back then stay runnable.
+	if err := admit(defaultSpec(2, 1, "30s")); err != nil {
+		t.Fatalf("sub-minute duration rejected: %v", err)
 	}
 	mutate := func(f func(*Spec)) Spec {
 		s := good
@@ -338,7 +333,7 @@ func TestSpecValidateAxes(t *testing.T) {
 		}),
 	}
 	for name, s := range bad {
-		if err := s.validate(); err == nil {
+		if err := admit(s); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -349,8 +344,8 @@ func TestSpecValidateSchemes(t *testing.T) {
 	good := sweepSpec(
 		fleet.SchemeSpec{Policy: policy.Spec{Name: "fixedtail", Params: map[string]any{"wait": "2s"}}},
 		fleet.SchemeSpec{Policy: policy.Spec{Name: "fixedtail", Params: map[string]any{"wait": "8s"}}},
-	).withDefaults()
-	if err := good.validate(); err != nil {
+	)
+	if err := admit(good); err != nil {
 		t.Fatalf("valid sweep rejected: %v", err)
 	}
 	bad := []Spec{
@@ -372,7 +367,7 @@ func TestSpecValidateSchemes(t *testing.T) {
 		}(),
 	}
 	for i, s := range bad {
-		if err := s.withDefaults().validate(); err == nil {
+		if err := admit(s); err == nil {
 			t.Errorf("bad spec %d accepted", i)
 		}
 	}

@@ -3,14 +3,16 @@ package jobs
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/policy"
+	"repro/internal/workload"
 )
 
 func testSpec(users int) Spec {
-	return Spec{Users: users, Seed: 7, Duration: Duration(15 * time.Minute)}
+	return defaultSpec(users, 7, "15m")
 }
 
 // blockingRunner returns a fake fleet runner that reports one partial,
@@ -204,9 +206,9 @@ func TestSpecLimits(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
 	for _, spec := range []Spec{
-		{Users: MaxUsers + 1},
-		{Users: 1, Duration: MaxDuration + 1},
-		{Users: 1, Shards: MaxShards + 1},
+		defaultSpec(workload.MaxCohortUsers+1, 0, "4h"),
+		defaultSpec(1, 0, "721h"),
+		withShards(defaultSpec(1, 0, "4h"), MaxShards+1),
 	} {
 		if _, err := m.Submit(spec); err == nil {
 			t.Fatalf("oversized spec %+v accepted", spec)
@@ -220,7 +222,7 @@ func TestSpecLimits(t *testing.T) {
 func TestCacheHitIsByteIdentical(t *testing.T) {
 	m := NewManager(Config{Runners: 1})
 	defer m.Close()
-	spec := Spec{Users: 3, Seed: 11, Duration: Duration(10 * time.Minute), Shards: 4}
+	spec := withShards(defaultSpec(3, 11, "10m"), 4)
 
 	cold, err := m.Submit(spec)
 	if err != nil {
@@ -272,7 +274,7 @@ func TestCacheHitIsByteIdentical(t *testing.T) {
 		t.Fatalf("implausible result: %d JSON bytes, %d jobs", len(crJSON), cr.Stats().Jobs)
 	}
 	// A different spec must not hit the cache.
-	other, err := m.Submit(Spec{Users: 3, Seed: 12, Duration: Duration(10 * time.Minute), Shards: 4})
+	other, err := m.Submit(withShards(defaultSpec(3, 12, "10m"), 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,22 +287,23 @@ func TestCacheHitIsByteIdentical(t *testing.T) {
 // TestFingerprintSensitivity checks every cache-key component moves the
 // fingerprint, and that normalization (defaults) does not.
 func TestFingerprintSensitivity(t *testing.T) {
-	base := Spec{Users: 10, Seed: 1}.withDefaults()
+	base := defaultSpec(10, 1, "4h").withDefaults()
 	fp := base.Fingerprint()
 	if explicit := base.Fingerprint(); explicit != fp {
 		t.Fatal("fingerprint not stable")
 	}
-	if (Spec{Users: 10, Seed: 1}).Fingerprint() != fp {
+	if defaultSpec(10, 1, "4h").Fingerprint() != fp {
 		t.Fatal("normalization changed the fingerprint")
 	}
 	mutate := []Spec{
-		{Users: 11, Seed: 1},
-		{Users: 10, Seed: 2},
-		{Users: 10, Seed: 1, Duration: Duration(time.Hour)},
-		{Users: 10, Seed: 1, Profile: "AT&T 3G"},
-		{Users: 10, Seed: 1, Policy: fleet.PolicyOracle},
-		{Users: 10, Seed: 1, Active: fleet.ActiveLearn},
-		{Users: 10, Seed: 1, Shards: 7},
+		defaultSpec(11, 1, "4h"),
+		defaultSpec(10, 2, "4h"),
+		defaultSpec(10, 1, "1h"),
+		withProfile(defaultSpec(10, 1, "4h"), "AT&T 3G"),
+		withScheme(defaultSpec(10, 1, "4h"), "oracle", policy.Spec{Name: "oracle"}, nil),
+		withScheme(defaultSpec(10, 1, "4h"), "makeidle+learn",
+			policy.Spec{Name: "makeidle"}, &policy.Spec{Name: "learn"}),
+		withShards(defaultSpec(10, 1, "4h"), 7),
 	}
 	seen := map[string]bool{fp: true}
 	for i, s := range mutate {
@@ -316,14 +319,27 @@ func TestFingerprintSensitivity(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	m := NewManager(Config{})
 	defer m.Close()
+	good := defaultSpec(1, 0, "4h")
 	for _, spec := range []Spec{
-		{},                                   // no users
-		{Users: 1, Profile: "Nokia 1G"},      // unknown profile
-		{Users: 1, Policy: "extra-fast"},     // unknown policy
-		{Users: 1, Active: "procrastinator"}, // unknown active policy
+		{},                            // no axes at all
+		withProfile(good, "Nokia 1G"), // unknown profile
+		withScheme(good, "", policy.Spec{Name: "extra-fast"}, nil), // unknown policy
+		withScheme(good, "", policy.Spec{Name: "makeidle"},
+			&policy.Spec{Name: "procrastinator"}), // unknown active policy
 	} {
 		if _, err := m.Submit(spec); err == nil {
 			t.Fatalf("spec %+v accepted", spec)
+		}
+	}
+	// An empty axis is refused by name.
+	for axis, spec := range map[string]Spec{
+		"schemes":  {Seed: 1, Profiles: good.Profiles, Cohorts: good.Cohorts},
+		"profiles": {Seed: 1, Schemes: good.Schemes, Cohorts: good.Cohorts},
+		"cohorts":  {Seed: 1, Schemes: good.Schemes, Profiles: good.Profiles},
+	} {
+		_, err := m.Submit(spec)
+		if err == nil || !strings.Contains(err.Error(), axis+" axis is empty") {
+			t.Errorf("empty %s axis: error %v does not name the axis", axis, err)
 		}
 	}
 }

@@ -74,8 +74,8 @@ func (c *CellResult) JSON() ([]byte, error) {
 // immutable. All stats shapes live in internal/report so the HTTP service
 // and the CLIs render fleet summaries through one implementation.
 //
-// Single-axis jobs (one profile, one cohort — every pre-grid job) keep
-// the legacy flat rendering: one summary merged across the scheme sweep,
+// Single-axis jobs (one profile, one cohort) render flat: one summary
+// merged across the scheme sweep,
 // keyed by scheme label. Wider grids render per cell (Cells carries every
 // cell either way), because a scheme label legitimately repeats across
 // profile/cohort cells and a flat merge would conflate them.
@@ -139,15 +139,17 @@ func (r *Result) Grid() *report.GridStats {
 	return r.grid
 }
 
-// gridCells adapts the cells for the table renderer.
-func (r *Result) gridCells() []report.GridCell {
+// GridTable renders one row per cell with axis columns, whatever the axis
+// shape: the CSV and text form of wider grids, and the per-cell view of a
+// single-axis job.
+func (r *Result) GridTable() *report.Table {
 	gcells := make([]report.GridCell, 0, len(r.Cells))
 	for _, c := range r.Cells {
 		gcells = append(gcells, report.GridCell{
 			Scheme: c.Scheme, Profile: c.Profile, Cohort: c.Cohort, Summary: c.Summary,
 		})
 	}
-	return gcells
+	return report.GridTable(gcells)
 }
 
 // JSON returns the indented JSON rendering: flat SummaryStats for
@@ -171,7 +173,7 @@ func (r *Result) CSV() ([]byte, error) {
 			r.csv, r.csvErr = report.SummaryTable(r.Summary).CSVBytes()
 			return
 		}
-		r.csv, r.csvErr = report.GridTable(r.gridCells()).CSVBytes()
+		r.csv, r.csvErr = r.GridTable().CSVBytes()
 	})
 	return r.csv, r.csvErr
 }
@@ -183,7 +185,7 @@ func (r *Result) Text() string {
 			r.text = r.Summary.String()
 			return
 		}
-		r.text = report.GridTable(r.gridCells()).String()
+		r.text = r.GridTable().String()
 	})
 	return r.text
 }

@@ -232,26 +232,29 @@ func assertCatalogMatches(t *testing.T, noun string, got []spec.SchemaInfo, sche
 	}
 }
 
-// TestLegacyAxisPayloadsShareFingerprints: flat profile/users payloads and
-// their explicit axis forms share a fingerprint, so the second submission
-// is a cache hit with byte-identical results (the axis analogue of
-// TestLegacyFlatPayloadOnV1).
+// TestLegacyAxisPayloadsShareFingerprints: the legacy display-name and
+// alias spellings of axis values (the Table 2 carrier name, a duration in
+// another unit) and their canonical spellings share a fingerprint, so the
+// second submission is a cache hit with byte-identical results.
 func TestLegacyAxisPayloadsShareFingerprints(t *testing.T) {
 	ts, m := newTestServer(t)
-	flat, code := postJob(t, ts,
-		`{"users": 3, "seed": 63, "duration": "10m", "shards": 4, "profile": "Verizon LTE"}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("flat submit returned %d", code)
-	}
-	waitDone(t, m, flat.ID)
-	explicit, code := postJob(t, ts, `{"seed": 63, "shards": 4,
+	legacy, code := postJob(t, ts, `{"seed": 63, "shards": 4,
+		"schemes": [{"label": "4.5s", "policy": {"name": "4.5s"}}],
 		"profiles": [{"label": "Verizon LTE", "name": "Verizon LTE"}],
 		"cohorts": [{"name": "study-3g", "params": {"users": 3, "duration": "10m"}}]}`)
-	if code != http.StatusOK {
-		t.Fatalf("explicit submit returned %d, want 200 (cache hit)", code)
+	if code != http.StatusAccepted {
+		t.Fatalf("legacy-spelled submit returned %d", code)
 	}
-	if !explicit.CacheHit || explicit.Fingerprint != flat.Fingerprint {
-		t.Fatalf("explicit axis form did not hit the flat form's cache entry: %+v", explicit)
+	waitDone(t, m, legacy.ID)
+	canonical, code := postJob(t, ts, `{"seed": 63, "shards": 4,
+		"schemes": [{"label": "4.5s", "policy": {"name": "fixedtail", "params": {"wait": 4500000000}}}],
+		"profiles": [{"label": "Verizon LTE", "name": "verizon-lte"}],
+		"cohorts": [{"name": "study-3g", "params": {"users": 3, "duration": "600s", "diurnal": true}}]}`)
+	if code != http.StatusOK {
+		t.Fatalf("canonical submit returned %d, want 200 (cache hit)", code)
+	}
+	if !canonical.CacheHit || canonical.Fingerprint != legacy.Fingerprint {
+		t.Fatalf("canonical spelling did not hit the legacy spelling's cache entry: %+v", canonical)
 	}
 }
 

@@ -29,13 +29,22 @@ func newTestServer(t *testing.T) (*httptest.Server, *jobs.Manager) {
 	return ts, m
 }
 
-func testSpecJSON(seed int64) string {
-	return fmt.Sprintf(`{"users": 3, "seed": %d, "duration": "10m", "shards": 4}`, seed)
+// specJSON is a one-cell spec: makeidle on Verizon 3G over a diurnal
+// study-3g cohort, each axis value labeled as the scheme and carrier
+// names the summaries are keyed by.
+func specJSON(users int, seed int64, duration string, shards int) string {
+	return fmt.Sprintf(`{"seed": %d, "shards": %d,
+		"schemes": [{"label": "makeidle", "policy": {"name": "makeidle"}}],
+		"profiles": [{"label": "Verizon 3G", "name": "Verizon 3G"}],
+		"cohorts": [{"name": "study-3g", "params": {"users": %d, "duration": %q}}]}`,
+		seed, shards, users, duration)
 }
+
+func testSpecJSON(seed int64) string { return specJSON(3, seed, "10m", 4) }
 
 func postJob(t *testing.T, ts *httptest.Server, body string) (jobs.Status, int) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +98,7 @@ func TestSubmitPollResult(t *testing.T) {
 	}
 	waitDone(t, m, st.ID)
 
-	body, code := getBody(t, ts.URL+"/jobs/"+st.ID)
+	body, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID)
 	if code != http.StatusOK {
 		t.Fatalf("status returned %d: %s", code, body)
 	}
@@ -101,15 +110,15 @@ func TestSubmitPollResult(t *testing.T) {
 		t.Fatalf("status after done: %+v", got)
 	}
 
-	js, code := getBody(t, ts.URL+"/jobs/"+st.ID+"/result")
+	js, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result")
 	if code != http.StatusOK || !json.Valid(js) {
 		t.Fatalf("JSON result: code %d, valid=%v", code, json.Valid(js))
 	}
-	csv, code := getBody(t, ts.URL+"/jobs/"+st.ID+"/result?format=csv")
+	csv, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result?format=csv")
 	if code != http.StatusOK || !strings.HasPrefix(string(csv), "scheme,") {
 		t.Fatalf("CSV result: code %d, body %q", code, csv)
 	}
-	text, code := getBody(t, ts.URL+"/jobs/"+st.ID+"/result?format=text")
+	text, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result?format=text")
 	if code != http.StatusOK || !strings.Contains(string(text), "fleet summary") {
 		t.Fatalf("text result: code %d, body %q", code, text)
 	}
@@ -125,7 +134,7 @@ func TestCacheHitIsByteIdenticalOverHTTP(t *testing.T) {
 		t.Fatalf("cold submit returned %d", code)
 	}
 	waitDone(t, m, cold.ID)
-	coldJSON, code := getBody(t, ts.URL+"/jobs/"+cold.ID+"/result")
+	coldJSON, code := getBody(t, ts.URL+"/v1/jobs/"+cold.ID+"/result")
 	if code != http.StatusOK {
 		t.Fatalf("cold result returned %d", code)
 	}
@@ -140,7 +149,7 @@ func TestCacheHitIsByteIdenticalOverHTTP(t *testing.T) {
 	if warm.Fingerprint != cold.Fingerprint {
 		t.Fatal("fingerprint changed between identical submissions")
 	}
-	warmJSON, code := getBody(t, ts.URL+"/jobs/"+warm.ID+"/result")
+	warmJSON, code := getBody(t, ts.URL+"/v1/jobs/"+warm.ID+"/result")
 	if code != http.StatusOK {
 		t.Fatalf("warm result returned %d", code)
 	}
@@ -154,11 +163,11 @@ func TestCacheHitIsByteIdenticalOverHTTP(t *testing.T) {
 // last line must carry the terminal state.
 func TestStreamDeliversProgressAndTerminates(t *testing.T) {
 	ts, _ := newTestServer(t)
-	st, code := postJob(t, ts, `{"users": 4, "seed": 23, "duration": "10m", "shards": 8}`)
+	st, code := postJob(t, ts, specJSON(4, 23, "10m", 8))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit returned %d", code)
 	}
-	resp, err := http.Get(ts.URL + "/jobs/" + st.ID + "/stream")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +211,11 @@ func TestCancelOverHTTP(t *testing.T) {
 	ts, m := newTestServer(t)
 	// A bigger cohort so cancellation lands before completion most runs;
 	// either way the lifecycle must stay coherent.
-	st, code := postJob(t, ts, `{"users": 64, "seed": 24, "duration": "2h", "shards": 64}`)
+	st, code := postJob(t, ts, specJSON(64, 24, "2h", 64))
 	if code != http.StatusAccepted {
 		t.Fatalf("submit returned %d", code)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+st.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+st.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +225,7 @@ func TestCancelOverHTTP(t *testing.T) {
 		t.Fatalf("cancel returned %d", resp.StatusCode)
 	}
 	waitDone(t, m, st.ID)
-	body, _ := getBody(t, ts.URL+"/jobs/"+st.ID)
+	body, _ := getBody(t, ts.URL+"/v1/jobs/"+st.ID)
 	var got jobs.Status
 	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
@@ -225,7 +234,7 @@ func TestCancelOverHTTP(t *testing.T) {
 		t.Fatalf("after cancel: %+v", got)
 	}
 	if got.State == jobs.StateCanceled {
-		if _, code := getBody(t, ts.URL+"/jobs/"+st.ID+"/result"); code != http.StatusGone {
+		if _, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result"); code != http.StatusGone {
 			t.Fatalf("result of canceled job returned %d, want 410", code)
 		}
 	}
@@ -235,21 +244,54 @@ func TestCancelOverHTTP(t *testing.T) {
 // unknown jobs, unknown formats, result-before-done.
 func TestErrorsAndValidation(t *testing.T) {
 	ts, m := newTestServer(t)
-	for _, body := range []string{
-		`{"users": 0}`,
-		`{"users": 2, "profile": "Nokia 1G"}`,
-		`{"users": 2, "policy": "warp-speed"}`,
-		`{"users": 2, "bogus_field": 1}`,
-		`not json at all`,
+	one := func(axis, value string) string {
+		return fmt.Sprintf(`"%s": [%s]`, axis, value)
+	}
+	scheme := one("schemes", `{"policy": {"name": "makeidle"}}`)
+	profile := one("profiles", `{"name": "verizon-3g"}`)
+	cohort := one("cohorts", `{"name": "study-3g", "params": {"users": 2, "duration": "5m"}}`)
+	spec := func(fields ...string) string { return "{" + strings.Join(fields, ", ") + "}" }
+	for _, c := range []struct {
+		body string
+		code int
+		want string // substring of the JSON error body
+	}{
+		{`{"users": 2, "seed": 1, "duration": "10m", "policy": "makeidle"}`,
+			http.StatusBadRequest, `unknown field \"users\"`},
+		{spec(`"seed": 1`), http.StatusBadRequest, "schemes axis is empty"},
+		{spec(scheme, cohort), http.StatusBadRequest, "profiles axis is empty"},
+		{spec(scheme, profile), http.StatusBadRequest, "cohorts axis is empty"},
+		{spec(scheme, one("profiles", `{"name": "Nokia 1G"}`), cohort), http.StatusBadRequest, "Nokia 1G"},
+		{spec(one("schemes", `{"policy": {"name": "warp-speed"}}`), profile, cohort),
+			http.StatusBadRequest, "warp-speed"},
+		{spec(scheme, profile, cohort, `"bogus_field": 1`), http.StatusBadRequest, `unknown field \"bogus_field\"`},
+		{`not json at all`, http.StatusBadRequest, "bad spec"},
+		{spec(one("schemes", `{"label": "`+strings.Repeat("x", maxSpecBytes)+`", "policy": {"name": "makeidle"}}`),
+			profile, cohort), http.StatusRequestEntityTooLarge, "too large"},
 	} {
-		if _, code := postJob(t, ts, body); code != http.StatusBadRequest {
-			t.Fatalf("spec %q returned %d, want 400", body, code)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.code || !strings.Contains(string(msg), c.want) {
+			t.Errorf("spec %.80q returned %d %s, want %d naming %q", c.body, resp.StatusCode, msg, c.code, c.want)
 		}
 	}
-	if _, code := getBody(t, ts.URL+"/jobs/job-999999"); code != http.StatusNotFound {
+	// Job routes live only under /v1.
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(testSpecJSON(26)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /jobs returned %d, want 404", resp.StatusCode)
+	}
+	if _, code := getBody(t, ts.URL+"/v1/jobs/job-999999"); code != http.StatusNotFound {
 		t.Fatalf("unknown job status returned %d", code)
 	}
-	if _, code := getBody(t, ts.URL+"/jobs/job-999999/result"); code != http.StatusNotFound {
+	if _, code := getBody(t, ts.URL+"/v1/jobs/job-999999/result"); code != http.StatusNotFound {
 		t.Fatalf("unknown job result returned %d", code)
 	}
 
@@ -258,7 +300,7 @@ func TestErrorsAndValidation(t *testing.T) {
 		t.Fatalf("submit returned %d", code)
 	}
 	waitDone(t, m, st.ID)
-	if _, code := getBody(t, ts.URL+"/jobs/"+st.ID+"/result?format=yaml"); code != http.StatusBadRequest {
+	if _, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result?format=yaml"); code != http.StatusBadRequest {
 		t.Fatalf("unknown format returned %d", code)
 	}
 
@@ -274,7 +316,7 @@ func TestErrorsAndValidation(t *testing.T) {
 // bytes — nonzero each — plus the eviction counter.
 func TestHealthzTraceCacheGauges(t *testing.T) {
 	ts, m := newTestServer(t)
-	spec := `{"seed": 31, "duration": "2m", "shards": 2,
+	spec := `{"seed": 31, "shards": 2,
 		"schemes": [{"policy": {"name": "makeidle"}},
 		            {"policy": {"name": "fixedtail", "params": {"wait": "2s"}}}],
 		"profiles": [{"name": "verizon-3g"}],

@@ -12,38 +12,6 @@ import (
 	"repro/internal/policy"
 )
 
-// TestV1RoutesAliasLegacyRoutes: the /v1 surface serves the same handlers
-// as the legacy root paths — a job submitted on one is visible on the
-// other, with identical result bytes.
-func TestV1RoutesAliasLegacyRoutes(t *testing.T) {
-	ts, m := newTestServer(t)
-	st, code := postJob(t, ts, testSpecJSON(31))
-	if code != http.StatusAccepted {
-		t.Fatalf("submit returned %d", code)
-	}
-	waitDone(t, m, st.ID)
-	v1, code := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/result")
-	if code != http.StatusOK {
-		t.Fatalf("/v1 result returned %d", code)
-	}
-	legacy, code := getBody(t, ts.URL+"/jobs/"+st.ID+"/result")
-	if code != http.StatusOK {
-		t.Fatalf("legacy result returned %d", code)
-	}
-	if !bytes.Equal(v1, legacy) {
-		t.Fatal("/v1 and legacy result bytes differ")
-	}
-	// And submission works on /v1 directly.
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(testSpecJSON(32)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("/v1 submit returned %d", resp.StatusCode)
-	}
-}
-
 // TestPoliciesEndpointMatchesRegistry is the guard: GET /v1/policies must
 // stay in lockstep with the policy registry — every registered schema
 // present under its role, every alias attributed, every parameter carrying
@@ -110,7 +78,9 @@ func TestPoliciesEndpointMatchesRegistry(t *testing.T) {
 // jobs on the same seed.
 func TestSweepMatchesSeparateJobs(t *testing.T) {
 	ts, m := newTestServer(t)
-	cohort := `"users": 4, "seed": 51, "duration": "15m", "shards": 4`
+	cohort := `"seed": 51, "shards": 4,
+		"profiles": [{"label": "Verizon 3G", "name": "Verizon 3G"}],
+		"cohorts": [{"name": "study-3g", "params": {"users": 4, "duration": "15m"}}]`
 	schemes := []string{
 		`{"policy": {"name": "fixedtail", "params": {"wait": "2s"}}}`,
 		`{"policy": {"name": "fixedtail"}}`,
@@ -169,26 +139,6 @@ func TestSweepMatchesSeparateJobs(t *testing.T) {
 			t.Fatalf("scheme %q: sweep summary differs from the separate job:\n%s\nvs\n%s",
 				label, stats, want)
 		}
-	}
-}
-
-// TestLegacyFlatPayloadOnV1: the back-compat mapping — a flat-name
-// payload and its explicit spec form share a fingerprint, so the second
-// submission is a cache hit with byte-identical results.
-func TestLegacyFlatPayloadOnV1(t *testing.T) {
-	ts, m := newTestServer(t)
-	flat, code := postJob(t, ts, `{"users": 3, "seed": 52, "duration": "10m", "shards": 4, "policy": "4.5s"}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("flat submit returned %d", code)
-	}
-	waitDone(t, m, flat.ID)
-	speced, code := postJob(t, ts, `{"users": 3, "seed": 52, "duration": "10m", "shards": 4,
-		"schemes": [{"label": "4.5s", "policy": {"name": "fixedtail", "params": {"wait": 4500000000}}}]}`)
-	if code != http.StatusOK {
-		t.Fatalf("spec-form submit returned %d, want 200 (cache hit)", code)
-	}
-	if !speced.CacheHit || speced.Fingerprint != flat.Fingerprint {
-		t.Fatalf("spec form did not hit the flat form's cache entry: %+v", speced)
 	}
 }
 

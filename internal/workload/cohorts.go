@@ -153,8 +153,8 @@ func CohortParams() []spec.ParamSpec {
 		{Name: "users", Kind: spec.KindInt, Default: 100, Min: 1, Max: MaxCohortUsers,
 			Help: "population size (mixes cycle through the family's blends)"},
 		// Min is 1 ns, not something "sensible": the pre-grid job layer
-		// accepted any positive duration, and the legacy flat payloads that
-		// map onto this schema must keep resolving.
+		// accepted any positive duration, and the specs and stored cells of
+		// that era must keep resolving.
 		{Name: "duration", Kind: spec.KindDuration, Default: 4 * time.Hour,
 			Min: time.Nanosecond, Max: 30 * 24 * time.Hour,
 			Help: "per-user trace length"},
