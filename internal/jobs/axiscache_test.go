@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fleet"
 	"repro/internal/policy"
-	"repro/internal/power"
 )
 
 // TestPlanFingerprintMatchesFingerprint pins the contract that lets Submit
@@ -20,24 +19,7 @@ func TestPlanFingerprintMatchesFingerprint(t *testing.T) {
 	specs := map[string]Spec{
 		// The canonical rewrite of the flat payload {users: 5, seed: 3, duration: 20m}.
 		"legacy-flat": defaultSpec(5, 3, "20m"),
-		"grid": {
-			Seed:   1,
-			Shards: 4,
-			Schemes: []fleet.SchemeSpec{
-				{Policy: policy.Spec{Name: "makeidle"}},
-				{Label: "tail2s", Policy: policy.Spec{Name: "fixedtail",
-					Params: map[string]any{"wait": "2s"}}},
-				{Label: "batched", Policy: policy.Spec{Name: "makeidle"},
-					Active: &policy.Spec{Name: "fix"}},
-			},
-			Profiles: []power.ProfileSpec{
-				{Name: "verizon-3g"},
-				{Label: "lte", Name: "verizon-lte"},
-			},
-			Cohorts: []fleet.CohortSpec{
-				{Name: "study-3g", Params: map[string]any{"users": 4, "duration": "10m"}},
-			},
-		},
+		"grid":        gridSpec(),
 		// Alias spelling must fingerprint as its canonical resolution.
 		"alias": withScheme(defaultSpec(2, 9, "4h"), "", policy.Spec{Name: "4.5s"}, nil),
 	}
