@@ -431,7 +431,7 @@ func profileSpecFromFlag(raw string) (power.ProfileSpec, error) {
 	if !strings.ContainsRune(raw, '(') {
 		ps.Label = sp.Name
 	}
-	if _, err := ps.Profile(power.Default()); err != nil {
+	if _, err := ps.Resolution(power.Default()); err != nil {
 		return power.ProfileSpec{}, fmt.Errorf("%w\nvalid profiles:\n%s", err, power.Default().Usage())
 	}
 	return ps, nil
@@ -443,18 +443,20 @@ func resolveProfile(raw string) (power.Profile, error) {
 	if err != nil {
 		return power.Profile{}, err
 	}
-	return ps.Profile(power.Default())
+	rp, err := ps.Resolution(power.Default())
+	return rp.Profile, err
 }
 
 // cohortSpecFromFlag adapts a CLI cohort spec string to a validated
-// CohortSpec; its grid label derives from the registry.
+// CohortSpec — resolved through to its runnable cohort, so a mix with no
+// app weight fails here — whose grid label derives from the registry.
 func cohortSpecFromFlag(raw string) (fleet.CohortSpec, error) {
 	sp, err := spec.Parse(raw)
 	if err != nil {
 		return fleet.CohortSpec{}, fmt.Errorf("cohort: %w", err)
 	}
 	cs := fleet.CohortSpec{Name: sp.Name, Params: sp.Params}
-	if _, err := cs.Canonical(workload.Cohorts()); err != nil {
+	if _, err := fleet.ResolveCohort(workload.Cohorts(), cs, 0, nil); err != nil {
 		return fleet.CohortSpec{}, fmt.Errorf("%w\nvalid cohorts:\n%s", err, workload.Cohorts().Usage())
 	}
 	return cs, nil
@@ -486,9 +488,11 @@ func runFleet(profileFlags, cohortFlags []string, users int, seed int64, duratio
 		}
 		resolved := make([]fleet.Scheme, len(schemes))
 		for i, ss := range schemes {
-			if resolved[i], err = fleet.SchemeFromSpec(policy.Default(), ss); err != nil {
+			rs, err := fleet.ResolveScheme(policy.Default(), ss)
+			if err != nil {
 				return err
 			}
+			resolved[i] = rs.Scheme
 		}
 		// Flat -users population: a diurnal cohort cycling the Verizon 3G
 		// study mixes.
@@ -550,7 +554,8 @@ func schemeSpecFromFlags(polName, actName string, burstGap time.Duration) (fleet
 	if err != nil {
 		return fleet.SchemeSpec{}, err
 	}
-	if _, _, err := policy.Default().Resolve(policy.RoleDemote, dspec); err != nil {
+	d, err := policy.Default().Resolution(policy.RoleDemote, dspec)
+	if err != nil {
 		return fleet.SchemeSpec{}, withUsage(err, policy.RoleDemote)
 	}
 	aspec, err := policy.ParseSpec(actName)
@@ -558,7 +563,7 @@ func schemeSpecFromFlags(polName, actName string, burstGap time.Duration) (fleet
 		return fleet.SchemeSpec{}, err
 	}
 	aspec = fleet.WithFixBurstGap(aspec, burstGap)
-	aschema, _, err := policy.Default().Resolve(policy.RoleActive, aspec)
+	a, err := policy.Default().Resolution(policy.RoleActive, aspec)
 	if err != nil {
 		return fleet.SchemeSpec{}, withUsage(err, policy.RoleActive)
 	}
@@ -566,23 +571,15 @@ func schemeSpecFromFlags(polName, actName string, burstGap time.Duration) (fleet
 	// legacy label (the ParseSpec-trimmed name, aliases included — "4.5s"
 	// stays "4.5s"), a parameterized spec gets the registry-derived one —
 	// so mixing the two forms never relabels the flat half.
-	labelFor := func(raw string, role policy.Role, spec policy.Spec) (string, error) {
+	labelFor := func(raw string, spec policy.Spec, res policy.Resolution) string {
 		if !strings.ContainsRune(raw, '(') {
-			return spec.Name, nil
+			return spec.Name
 		}
-		return policy.Default().Label(role, spec)
+		return res.Label
 	}
-	label, err := labelFor(polName, policy.RoleDemote, dspec)
-	if err != nil {
-		return fleet.SchemeSpec{}, err
-	}
-	ss := fleet.SchemeSpec{Label: label, Policy: dspec}
-	if aschema.Name != fleet.ActiveNone {
-		alabel, err := labelFor(actName, policy.RoleActive, aspec)
-		if err != nil {
-			return fleet.SchemeSpec{}, err
-		}
-		ss.Label = label + "+" + alabel
+	ss := fleet.SchemeSpec{Label: labelFor(polName, dspec, d), Policy: dspec}
+	if a.Schema.Name != fleet.ActiveNone {
+		ss.Label += "+" + labelFor(actName, aspec, a)
 		ss.Active = &aspec
 	}
 	return ss, nil

@@ -175,3 +175,16 @@ func TestFleetSchemeLabels(t *testing.T) {
 		t.Fatal("unknown active accepted in fleet mode")
 	}
 }
+
+// TestCohortFlagResolvesThroughPlan: a cohort flag resolves to a runnable
+// cohort at parse time, so a mix with every app weight zero fails with the
+// catalog instead of at grid submission.
+func TestCohortFlagResolvesThroughPlan(t *testing.T) {
+	if _, err := cohortSpecFromFlag("mix(users=3,im=1)"); err != nil {
+		t.Fatal(err)
+	}
+	_, err := cohortSpecFromFlag("mix(im=0,email=0,news=0)")
+	if err == nil || !strings.Contains(err.Error(), "valid cohorts:") {
+		t.Fatalf("zero-weight mix: error %v, want a failure listing the cohorts", err)
+	}
+}

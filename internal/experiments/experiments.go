@@ -182,11 +182,11 @@ func FleetSchemes(burstGap time.Duration) []fleet.Scheme {
 	specs := PaperSchemeSpecs(burstGap)
 	schemes := make([]fleet.Scheme, len(specs))
 	for i, ss := range specs {
-		s, err := fleet.SchemeFromSpec(policy.Default(), ss)
+		rs, err := fleet.ResolveScheme(policy.Default(), ss)
 		if err != nil {
 			panic(err) // impossible: the built-in registry resolves its own names
 		}
-		schemes[i] = s
+		schemes[i] = rs.Scheme
 	}
 	return schemes
 }

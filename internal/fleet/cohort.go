@@ -26,7 +26,7 @@ type Scheme struct {
 	// (key, fit trace, profile), letting workers reuse constructed
 	// policies across jobs (see Job.PolicyKey; trace-fitted schemes also
 	// need a trace cache key before workers memoize their fits).
-	// SchemeFromSpec derives it from the registry's canonical encoding;
+	// ResolveScheme derives it from the registry's canonical encoding;
 	// hand-built schemes may leave it empty to always construct fresh.
 	PolicyKey string
 }

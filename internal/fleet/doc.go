@@ -23,9 +23,9 @@
 //
 // # Progress and cancellation
 //
-// Options.OnShard delivers a Progress count after every completed shard,
-// and RunSummaryWithProgress additionally snapshots a merged partial
-// Summary over the shards finished so far. Both observe the run from the
+// RunSummaryLazyProgress delivers a Progress count after every completed
+// shard, with a snap function that builds a merged partial Summary over
+// the shards finished so far when called. It observes the run from the
 // outside: partial views merge only completed shard accumulators (always
 // in shard index order), so watching progress never perturbs the final
 // shard-ordered reduction — the end result stays bit-identical whether or

@@ -44,12 +44,6 @@ type Options struct {
 	// DefaultShards. More shards expose more parallelism; the shard count
 	// (not the worker count) fixes the reduction grouping.
 	Shards int
-	// OnShard, when non-nil, is called after each shard completes
-	// successfully. Calls are serialized (never concurrent) and arrive in
-	// shard completion order, which varies run to run; the counts
-	// themselves are monotone. The callback runs on a worker goroutine, so
-	// it should be quick.
-	OnShard func(Progress)
 	// Cancel, when non-nil, aborts the run once closed. Cancellation is
 	// observed between jobs: in-flight replays finish, no further job
 	// starts, and Run returns ErrCanceled. The final aggregate is
@@ -344,8 +338,9 @@ func Run[A any](jobs []Job, opts Options, acc Accumulator[A]) (A, error) {
 // runHooked is Run plus an optional per-shard hook receiving the progress
 // counts and a snap function that builds the accumulator over every shard
 // finished so far — lazily, only when called. Hooks require acc.Clone (see
-// the snapshot determinism argument below); hooks and Options.OnShard are
-// serialized under one lock, and snap is safe to call from any goroutine,
+// the snapshot determinism argument below); hook calls are serialized
+// under one lock, arrive in shard completion order (which varies run to
+// run) with monotone counts, and snap is safe to call from any goroutine,
 // during the run or after it returns — including synchronously from the
 // hook itself. The hook runs on a worker goroutine; keep it quick.
 //
@@ -387,7 +382,7 @@ func runHooked[A any](jobs []Job, opts Options, acc Accumulator[A], hook func(sn
 	}
 
 	var (
-		// hookMu serializes hook/OnShard callbacks (and keeps their progress
+		// hookMu serializes hook callbacks (and keeps their progress
 		// counts monotone); mu guards the merge state. Lock order is always
 		// hookMu → mu; snap takes only mu, so a hook that calls snap
 		// synchronously cannot deadlock.
@@ -437,9 +432,6 @@ func runHooked[A any](jobs []Job, opts Options, acc Accumulator[A], hook func(sn
 		mu.Unlock()
 		if hook != nil {
 			hook(snap, p)
-		}
-		if opts.OnShard != nil {
-			opts.OnShard(p)
 		}
 		hookMu.Unlock()
 	}

@@ -10,21 +10,21 @@ import (
 	"repro/internal/trace"
 )
 
-// TestProgressCountsAreMonotoneAndComplete watches OnShard under a parallel
-// run: counts must rise monotonically, never exceed the totals, and end
-// exactly at (shards, jobs).
+// TestProgressCountsAreMonotoneAndComplete watches the progress hook under
+// a parallel run: counts must rise monotonically, never exceed the totals,
+// and end exactly at (shards, jobs).
 func TestProgressCountsAreMonotoneAndComplete(t *testing.T) {
 	jobs := testJobs(t, 12)
 	var (
 		mu   sync.Mutex
 		seen []Progress
 	)
-	opts := Options{Workers: 8, Shards: 6, OnShard: func(p Progress) {
-		mu.Lock()
-		seen = append(seen, p)
-		mu.Unlock()
-	}}
-	sum, err := RunSummary(jobs, opts, SummaryConfig{})
+	sum, err := RunSummaryLazyProgress(jobs, Options{Workers: 8, Shards: 6}, SummaryConfig{},
+		func(_ func() *Summary, p Progress) {
+			mu.Lock()
+			seen = append(seen, p)
+			mu.Unlock()
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestProgressCountsAreMonotoneAndComplete(t *testing.T) {
 		t.Fatalf("summary folded %d jobs, want %d", sum.Jobs, len(jobs))
 	}
 	if len(seen) != 6 {
-		t.Fatalf("OnShard fired %d times, want 6", len(seen))
+		t.Fatalf("progress hook fired %d times, want 6", len(seen))
 	}
 	for i, p := range seen {
 		if p.Shards != 6 || p.TotalJobs != len(jobs) {
@@ -52,11 +52,11 @@ func TestProgressCountsAreMonotoneAndComplete(t *testing.T) {
 	}
 }
 
-// TestRunSummaryWithProgressMatchesPlainRun is the invariant the service
-// depends on: streaming partial snapshots must not perturb the final
-// shard-ordered reduction, and the last snapshot must equal the final
-// summary exactly.
-func TestRunSummaryWithProgressMatchesPlainRun(t *testing.T) {
+// TestRunSummaryLazyProgressMatchesPlainRun is the invariant the service
+// depends on: snapshotting a partial after every shard must not perturb
+// the final shard-ordered reduction, and the last snapshot must equal the
+// final summary exactly.
+func TestRunSummaryLazyProgressMatchesPlainRun(t *testing.T) {
 	jobs := testJobs(t, 10)
 	want, err := RunSummary(jobs, Options{Workers: 4, Shards: 5}, SummaryConfig{})
 	if err != nil {
@@ -66,8 +66,9 @@ func TestRunSummaryWithProgressMatchesPlainRun(t *testing.T) {
 		mu        sync.Mutex
 		snapshots []*Summary
 	)
-	got, err := RunSummaryWithProgress(jobs, Options{Workers: 4, Shards: 5}, SummaryConfig{},
-		func(partial *Summary, p Progress) {
+	got, err := RunSummaryLazyProgress(jobs, Options{Workers: 4, Shards: 5}, SummaryConfig{},
+		func(snap func() *Summary, _ Progress) {
+			partial := snap()
 			mu.Lock()
 			snapshots = append(snapshots, partial)
 			mu.Unlock()

@@ -79,10 +79,11 @@ func TestStreamedCohortMatchesMaterialized(t *testing.T) {
 // TestFitTraceSchemeStreams: a trace-fitted scheme (95% IAT) on Source
 // jobs materializes in-worker and still matches the Gen-backed run.
 func TestFitTraceSchemeStreams(t *testing.T) {
-	scheme, err := fleet.SchemeFromSpec(policy.Default(), fleet.SchemeSpec{Policy: policy.Spec{Name: "95iat"}})
+	rs, err := fleet.ResolveScheme(policy.Default(), fleet.SchemeSpec{Policy: policy.Spec{Name: "95iat"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	scheme := rs.Scheme
 	if !scheme.FitTrace {
 		t.Fatal("95iat scheme not marked trace-fitted")
 	}
@@ -149,12 +150,12 @@ func TestFitPassSeesTraceThenReplayStreams(t *testing.T) {
 func TestOnlineSchemesNotMarkedFitted(t *testing.T) {
 	scheme := func(demote, active string) fleet.Scheme {
 		t.Helper()
-		s, err := fleet.SchemeFromSpec(policy.Default(), fleet.SchemeSpec{
+		rs, err := fleet.ResolveScheme(policy.Default(), fleet.SchemeSpec{
 			Policy: policy.Spec{Name: demote}, Active: &policy.Spec{Name: active}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return rs.Scheme
 	}
 	for _, name := range []string{"statusquo", "4.5s", "oracle", "makeidle"} {
 		if scheme(name, "learn").FitTrace {

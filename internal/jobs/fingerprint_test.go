@@ -11,6 +11,16 @@ import (
 	"repro/internal/power"
 )
 
+// mustFingerprint is Fingerprint for a spec the test expects to be valid.
+func mustFingerprint(t *testing.T, s Spec) string {
+	t.Helper()
+	fp, err := s.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fp
+}
+
 func sweepSpec(schemes ...fleet.SchemeSpec) Spec {
 	s := defaultSpec(5, 3, "30m")
 	s.Schemes = schemes
@@ -23,7 +33,7 @@ func sweepSpec(schemes ...fleet.SchemeSpec) Spec {
 // numeric parameter forms, any param-map construction order — produces
 // one fingerprint.
 func TestFingerprintStableAcrossParamEncodings(t *testing.T) {
-	want := sweepSpec(fleet.SchemeSpec{Policy: policy.Spec{Name: "fixedtail"}}).Fingerprint()
+	want := mustFingerprint(t, sweepSpec(fleet.SchemeSpec{Policy: policy.Spec{Name: "fixedtail"}}))
 	equivalents := []fleet.SchemeSpec{
 		{Policy: policy.Spec{Name: "fixedtail", Params: map[string]any{"wait": "4.5s"}}},
 		{Policy: policy.Spec{Name: "fixedtail", Params: map[string]any{"wait": "4500ms"}}},
@@ -32,7 +42,7 @@ func TestFingerprintStableAcrossParamEncodings(t *testing.T) {
 		{Label: "fixedtail", Policy: policy.Spec{Name: "fixedtail"}},
 	}
 	for i, ss := range equivalents {
-		if got := sweepSpec(ss).Fingerprint(); got != want {
+		if got := mustFingerprint(t, sweepSpec(ss)); got != want {
 			t.Errorf("equivalent scheme %d changed the fingerprint", i)
 		}
 	}
@@ -43,9 +53,9 @@ func TestFingerprintStableAcrossParamEncodings(t *testing.T) {
 	multi := func() map[string]any {
 		return map[string]any{"window": 200, "gridsteps": 50, "minsample": 20}
 	}
-	ref := sweepSpec(fleet.SchemeSpec{Policy: policy.Spec{Name: "makeidle", Params: multi()}}).Fingerprint()
+	ref := mustFingerprint(t, sweepSpec(fleet.SchemeSpec{Policy: policy.Spec{Name: "makeidle", Params: multi()}}))
 	for trial := 0; trial < 20; trial++ {
-		if sweepSpec(fleet.SchemeSpec{Policy: policy.Spec{Name: "makeidle", Params: multi()}}).Fingerprint() != ref {
+		if mustFingerprint(t, sweepSpec(fleet.SchemeSpec{Policy: policy.Spec{Name: "makeidle", Params: multi()}})) != ref {
 			t.Fatal("fingerprint depends on param map ordering")
 		}
 	}
@@ -59,14 +69,14 @@ func TestFingerprintMovesWithAnyParamChange(t *testing.T) {
 	mk := func(params map[string]any) Spec {
 		return sweepSpec(fleet.SchemeSpec{Policy: policy.Spec{Name: "makeidle", Params: params}})
 	}
-	seen := map[string]string{mk(base).Fingerprint(): "base"}
+	seen := map[string]string{mustFingerprint(t, mk(base)): "base"}
 	for k := range base {
 		mutated := map[string]any{}
 		for k2, v2 := range base {
 			mutated[k2] = v2
 		}
 		mutated[k] = mutated[k].(int) + 1
-		fp := mk(mutated).Fingerprint()
+		fp := mustFingerprint(t, mk(mutated))
 		if prev, dup := seen[fp]; dup {
 			t.Fatalf("mutating %q collided with %s", k, prev)
 		}
@@ -86,7 +96,7 @@ func TestFingerprintMovesWithAnyParamChange(t *testing.T) {
 			Active: &policy.Spec{Name: "learn", Params: map[string]any{"gamma": 0.01}}}),
 	}
 	for i, s := range distinct {
-		fp := s.Fingerprint()
+		fp := mustFingerprint(t, s)
 		if prev, dup := seen[fp]; dup {
 			t.Fatalf("spec %d collided with %s", i, prev)
 		}
@@ -122,7 +132,7 @@ func TestLegacyNameAliasFingerprints(t *testing.T) {
 			active = &policy.Spec{Name: c.act}
 		}
 		alias := sweepSpec(fleet.SchemeSpec{Label: c.scheme.Label, Policy: policy.Spec{Name: c.pol}, Active: active})
-		if alias.Fingerprint() != sweepSpec(c.scheme).Fingerprint() {
+		if mustFingerprint(t, alias) != mustFingerprint(t, sweepSpec(c.scheme)) {
 			t.Errorf("legacy %s/%s does not fingerprint like its spec form", c.pol, c.act)
 		}
 	}
@@ -137,21 +147,21 @@ func TestBurstGapSeedsFixScheme(t *testing.T) {
 		policy.Spec{Name: "makeidle"}, &policy.Spec{Name: "fix"}), 2*time.Second)
 	explicit := withScheme(speced, "makeidle+fix", policy.Spec{Name: "makeidle"},
 		&policy.Spec{Name: "fix", Params: map[string]any{"burstgap": "2s"}})
-	if explicit.Fingerprint() != speced.Fingerprint() {
+	if mustFingerprint(t, explicit) != mustFingerprint(t, speced) {
 		t.Fatal("schemes form ignores the job burst gap")
 	}
-	canon, err := speced.withDefaults().Schemes[0].Canonical(registry())
+	rs, err := fleet.ResolveScheme(registry(), speced.withDefaults().Schemes[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(canon, "fix(burstgap=2s)") {
-		t.Fatalf("canonical %q does not carry the injected burst gap", canon)
+	if !strings.Contains(rs.Canonical, "fix(burstgap=2s)") {
+		t.Fatalf("canonical %q does not carry the injected burst gap", rs.Canonical)
 	}
 	pinned := speced
 	pinned.Schemes = []fleet.SchemeSpec{{Label: "makeidle+fix",
 		Policy: policy.Spec{Name: "makeidle"},
 		Active: &policy.Spec{Name: "fix", Params: map[string]any{"burstgap": "500ms"}}}}
-	if pinned.Fingerprint() == speced.Fingerprint() {
+	if mustFingerprint(t, pinned) == mustFingerprint(t, speced) {
 		t.Fatal("explicit burstgap param did not override the job burst gap")
 	}
 	if pinned.Schemes[0].Active.Params["burstgap"] != "500ms" {
@@ -170,7 +180,7 @@ func TestFingerprintV4StableAcrossAxisSpellings(t *testing.T) {
 		Profiles: []power.ProfileSpec{{Name: "verizon-lte"}},
 		Cohorts:  []fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{"users": 5, "duration": "30m"}}},
 	}
-	want := base.Fingerprint()
+	want := mustFingerprint(t, base)
 	equivalents := []Spec{
 		// Explicit profile defaults.
 		func() Spec {
@@ -187,7 +197,7 @@ func TestFingerprintV4StableAcrossAxisSpellings(t *testing.T) {
 		}(),
 	}
 	for i, s := range equivalents {
-		if got := s.Fingerprint(); got != want {
+		if got := mustFingerprint(t, s); got != want {
 			t.Errorf("equivalent grid %d changed the fingerprint", i)
 		}
 	}
@@ -198,9 +208,9 @@ func TestFingerprintV4StableAcrossAxisSpellings(t *testing.T) {
 			Params: map[string]any{"t1": "9s", "dormancy": 0.4, "uplink": 2.0}}}
 		return s
 	}
-	ref := mk().Fingerprint()
+	ref := mustFingerprint(t, mk())
 	for trial := 0; trial < 20; trial++ {
-		if mk().Fingerprint() != ref {
+		if mustFingerprint(t, mk()) != ref {
 			t.Fatal("fingerprint depends on profile param map ordering")
 		}
 	}
@@ -208,7 +218,7 @@ func TestFingerprintV4StableAcrossAxisSpellings(t *testing.T) {
 	display := withProfile(defaultSpec(5, 3, "30m"), "Verizon LTE")
 	canonical := display
 	canonical.Profiles = []power.ProfileSpec{{Label: "Verizon LTE", Name: "verizon-lte"}}
-	if display.Fingerprint() != canonical.Fingerprint() {
+	if mustFingerprint(t, display) != mustFingerprint(t, canonical) {
 		t.Fatal("display-name profile does not fingerprint like its canonical name")
 	}
 }
@@ -222,10 +232,10 @@ func TestFingerprintV4MovesWithAnyAxisChange(t *testing.T) {
 		Profiles: []power.ProfileSpec{{Name: "verizon-lte"}},
 		Cohorts:  []fleet.CohortSpec{{Name: "study-3g", Params: map[string]any{"users": 5}}},
 	}
-	seen := map[string]string{base.Fingerprint(): "base"}
+	seen := map[string]string{mustFingerprint(t, base): "base"}
 	check := func(name string, s Spec) {
 		t.Helper()
-		fp := s.Fingerprint()
+		fp := mustFingerprint(t, s)
 		if prev, dup := seen[fp]; dup {
 			t.Errorf("%s collided with %s", name, prev)
 		}
@@ -259,14 +269,20 @@ func TestFingerprintV4MovesWithAnyAxisChange(t *testing.T) {
 	check("relabeled cohort", withCohorts(fleet.CohortSpec{Label: "renamed", Name: "study-3g", Params: map[string]any{"users": 5}}))
 	check("two profiles", withProfiles(vlte, v3g))
 	check("two profiles, other order", withProfiles(v3g, vlte))
-	check("unknown profile", withProfiles(power.ProfileSpec{Name: "AT&T 3G"}))
+	// A spec Submit would reject has no fingerprint, only Submit's error.
+	m := NewManager(Config{})
+	defer m.Close()
+	unknown := withProfiles(power.ProfileSpec{Name: "AT&T 3G"})
+	_, want := m.Submit(unknown)
+	if fp, err := unknown.Fingerprint(); err == nil || want == nil || err.Error() != want.Error() || fp != "" {
+		t.Errorf("unknown profile: Fingerprint %q, %v; Submit error %v", fp, err, want)
+	}
 }
 
 // admit runs a spec through Submit's admission: normalization, then one
 // resolution of every axis value.
 func admit(s Spec) error {
-	s = s.withDefaults()
-	_, _, err := s.planFingerprint(fleet.Options{Shards: s.Shards}, nil)
+	_, err := s.Fingerprint()
 	return err
 }
 

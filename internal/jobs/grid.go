@@ -57,101 +57,53 @@ func (c *gridCell) Jobs() []fleet.Job {
 
 // planFingerprint validates the normalized spec's axes, computes its v4
 // fingerprint, and expands its grid cells — all from ONE registry
-// resolution per axis value. This is the Submit path, and the only
-// validation: every axis value resolves eagerly (typos and out-of-range
-// parameters fail at admission, before a fleet spins up) and labels must
-// be distinct within their axis and free of reserved characters, because
-// they key grid cells. The standalone Fingerprint hashes the same
-// canonical encodings, byte for byte. Axis errors are reported in order:
-// schemes, then profiles, then cohorts.
+// resolution per axis value. This is the only validation and the only
+// fingerprint: Submit and Fingerprint both call it. Every axis value
+// resolves eagerly (typos and out-of-range parameters fail at admission,
+// before a fleet spins up) and labels must be distinct within their axis
+// and free of reserved characters, because they key grid cells. Axis
+// errors are reported in order: schemes, then profiles, then cohorts.
 //
-// axes, when non-nil, memoizes successful resolutions across Submits (see
-// axisCache); a nil cache resolves everything fresh.
-func (s Spec) planFingerprint(opts fleet.Options, axes *axisCache) ([]gridCell, string, error) {
+// axes memoizes successful resolutions across Submits (see axisCache);
+// the zero axisCache resolves everything fresh.
+func (s Spec) planFingerprint(opts fleet.Options, axes axisCache) ([]gridCell, string, error) {
 	if err := s.checkBounds(); err != nil {
 		return nil, "", err
 	}
 	burstGap := time.Duration(s.BurstGap)
 
-	sas := make([]fleet.ResolvedScheme, len(s.Schemes))
-	seen := make(map[string]bool, len(s.Schemes))
-	for i, ss := range s.Schemes {
-		key := ""
-		rs, ok := fleet.ResolvedScheme{}, false
-		if axes != nil {
-			key = schemeKey(ss)
-			rs, ok = axes.getScheme(key)
-		}
-		if !ok {
-			var err error
-			rs, err = fleet.ResolveScheme(registry(), ss)
-			if err != nil {
-				return nil, "", fmt.Errorf("jobs: scheme %d: %w", i, err)
-			}
-			axes.putScheme(key, rs)
-		}
-		if err := checkLabel("scheme", i, rs.Label, seen); err != nil {
-			return nil, "", err
-		}
-		sas[i] = rs
+	sas, err := resolveAxis("scheme", s.Schemes, axes.schemes, schemeKey,
+		func(ss fleet.SchemeSpec) (fleet.ResolvedScheme, error) {
+			return fleet.ResolveScheme(registry(), ss)
+		},
+		func(rs fleet.ResolvedScheme) string { return rs.Label })
+	if err != nil {
+		return nil, "", err
+	}
+	pas, err := resolveAxis("profile", s.Profiles, axes.profiles, profileKey,
+		func(ps power.ProfileSpec) (power.ResolvedProfile, error) {
+			return ps.Resolution(profiles())
+		},
+		func(rp power.ResolvedProfile) string { return rp.Label })
+	if err != nil {
+		return nil, "", err
+	}
+	// Every cohort of the job shares one sim.Options; ResolveCohort stamps
+	// CacheKeyBase with the cohort canonical, so every cell of a cohort
+	// replays the same memoized traffic.
+	simOpts := &sim.Options{BurstGap: burstGap}
+	cas, err := resolveAxis("cohort", s.Cohorts, axes.cohorts,
+		func(cs fleet.CohortSpec) string { return cohortKey(cs, s.Seed, burstGap) },
+		func(cs fleet.CohortSpec) (fleet.ResolvedCohort, error) {
+			return fleet.ResolveCohort(cohorts(), cs, s.Seed, simOpts)
+		},
+		func(rc fleet.ResolvedCohort) string { return rc.Label })
+	if err != nil {
+		return nil, "", err
 	}
 
-	pas := make([]power.ResolvedProfile, len(s.Profiles))
-	seen = make(map[string]bool, len(s.Profiles))
-	for i, ps := range s.Profiles {
-		key := ""
-		rp, ok := power.ResolvedProfile{}, false
-		if axes != nil {
-			key = profileKey(ps)
-			rp, ok = axes.getProfile(key)
-		}
-		if !ok {
-			var err error
-			rp, err = ps.Resolution(profiles())
-			if err != nil {
-				return nil, "", fmt.Errorf("jobs: profile %d: %w", i, err)
-			}
-			axes.putProfile(key, rp)
-		}
-		if err := checkLabel("profile", i, rp.Label, seen); err != nil {
-			return nil, "", err
-		}
-		pas[i] = rp
-	}
-
-	cas := make([]fleet.ResolvedCohort, len(s.Cohorts))
-	seen = make(map[string]bool, len(s.Cohorts))
-	var simOpts *sim.Options
-	for i, cs := range s.Cohorts {
-		key := ""
-		rc, ok := fleet.ResolvedCohort{}, false
-		if axes != nil {
-			key = cohortKey(cs, s.Seed, burstGap)
-			rc, ok = axes.getCohort(key)
-		}
-		if !ok {
-			if simOpts == nil {
-				simOpts = &sim.Options{BurstGap: burstGap}
-			}
-			var err error
-			rc, err = fleet.ResolveCohort(cohorts(), cs, s.Seed, simOpts)
-			if err != nil {
-				return nil, "", fmt.Errorf("jobs: cohort %d: %w", i, err)
-			}
-			// ResolveCohort stamps CacheKeyBase with the cohort canonical,
-			// so every cell of this cohort replays the same memoized
-			// traffic.
-			axes.putCohort(key, rc)
-		}
-		if err := checkLabel("cohort", i, rc.Label, seen); err != nil {
-			return nil, "", err
-		}
-		cas[i] = rc
-	}
-
-	// Both digests hash hand-appended bytes (strconv for the scalars,
-	// Duration.String for the gap) — the exact bytes the historical
-	// Fprintf-based hashing produced, without its per-verb overhead.
+	// Both digests hash hand-appended bytes: strconv for the scalars,
+	// Duration.String for the gap.
 	scalars := make([]byte, 0, 64)
 	scalars = append(scalars, "seed="...)
 	scalars = strconv.AppendInt(scalars, s.Seed, 10)
@@ -203,6 +155,25 @@ func (s Spec) planFingerprint(opts fleet.Options, axes *axisCache) ([]gridCell, 
 		}
 	}
 	return cells, fp, nil
+}
+
+// resolveAxis resolves every value of one axis, through memo, and checks
+// each resolved label against the axis-label rules in order.
+func resolveAxis[T, V any](axis string, values []T, memo *axisMemo[T, V],
+	key func(T) string, resolve func(T) (V, error), label func(V) string) ([]V, error) {
+	out := make([]V, len(values))
+	seen := make(map[string]bool, len(values))
+	for i, v := range values {
+		r, err := memo.resolve(v, key, resolve)
+		if err != nil {
+			return nil, fmt.Errorf("jobs: %s %d: %w", axis, i, err)
+		}
+		if err := checkLabel(axis, i, label(r), seen); err != nil {
+			return nil, err
+		}
+		out[i] = r
+	}
+	return out, nil
 }
 
 // checkLabel enforces the axis-label rules (no reserved characters, no

@@ -288,18 +288,18 @@ func TestCacheHitIsByteIdentical(t *testing.T) {
 // fingerprint, and that normalization (defaults) does not.
 func TestFingerprintSensitivity(t *testing.T) {
 	base := defaultSpec(10, 1, "4h").withDefaults()
-	fp := base.Fingerprint()
-	if explicit := base.Fingerprint(); explicit != fp {
+	fp := mustFingerprint(t, base)
+	if explicit := mustFingerprint(t, base); explicit != fp {
 		t.Fatal("fingerprint not stable")
 	}
-	if defaultSpec(10, 1, "4h").Fingerprint() != fp {
+	if mustFingerprint(t, defaultSpec(10, 1, "4h")) != fp {
 		t.Fatal("normalization changed the fingerprint")
 	}
 	mutate := []Spec{
 		defaultSpec(11, 1, "4h"),
 		defaultSpec(10, 2, "4h"),
 		defaultSpec(10, 1, "1h"),
-		withProfile(defaultSpec(10, 1, "4h"), "AT&T 3G"),
+		withProfile(defaultSpec(10, 1, "4h"), "AT&T HSPA+"),
 		withScheme(defaultSpec(10, 1, "4h"), "oracle", policy.Spec{Name: "oracle"}, nil),
 		withScheme(defaultSpec(10, 1, "4h"), "makeidle+learn",
 			policy.Spec{Name: "makeidle"}, &policy.Spec{Name: "learn"}),
@@ -307,7 +307,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	}
 	seen := map[string]bool{fp: true}
 	for i, s := range mutate {
-		got := s.Fingerprint()
+		got := mustFingerprint(t, s)
 		if seen[got] {
 			t.Fatalf("mutation %d did not change the fingerprint", i)
 		}

@@ -264,15 +264,15 @@ var pinnedSpecs = []struct {
 }
 
 // TestPinnedFingerprints: each canonical spec yields exactly the pinned
-// fingerprint and cell key, through both the standalone Fingerprint and
-// the Submit path's single-resolution plan.
+// fingerprint and cell keys, through both Fingerprint and the Submit
+// path's axis-cached plan.
 func TestPinnedFingerprints(t *testing.T) {
 	for _, c := range pinnedSpecs {
-		if got := c.spec.Fingerprint(); got != c.fp {
-			t.Errorf("%s: fingerprint %s, pinned %s", c.name, got, c.fp)
+		if got, err := c.spec.Fingerprint(); err != nil || got != c.fp {
+			t.Errorf("%s: fingerprint %s (err %v), pinned %s", c.name, got, err, c.fp)
 		}
 		s := c.spec.withDefaults()
-		cells, fp, err := s.planFingerprint(fleet.Options{Shards: s.Shards}, nil)
+		cells, fp, err := s.planFingerprint(fleet.Options{Shards: s.Shards}, newAxisCache())
 		if err != nil {
 			t.Errorf("%s: %v", c.name, err)
 			continue

@@ -218,8 +218,8 @@ func TestStoreGarbageRecomputed(t *testing.T) {
 }
 
 // TestCellLookupByKey exercises Manager.Cell — the GET /v1/cells handler's
-// backend — across both tiers: memory hit, store hit after a restart, and
-// a miss for an unknown key.
+// backend — across both tiers: memory hit, store hit after a restart, a
+// miss for an unknown key, and a quarantined miss for a garbage record.
 func TestCellLookupByKey(t *testing.T) {
 	spec := Spec{Seed: 3, Shards: 2,
 		Schemes:  resumeSchemes[:2],
@@ -260,5 +260,18 @@ func TestCellLookupByKey(t *testing.T) {
 	}
 	if _, ok := m2.Cell("0000000000000000000000000000000000000000000000000000000000000000"); ok {
 		t.Fatal("unknown key should miss")
+	}
+
+	// A record that passes the store's digest but is not a cell misses
+	// and is quarantined, exactly as on the planned-cell path.
+	garbage := "1111111111111111111111111111111111111111111111111111111111111111"
+	if err := st2.Put(garbage, []byte("not a cell payload")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := m2.Cell(garbage); ok {
+		t.Fatal("garbage record served as a cell")
+	}
+	if q := st2.Stats().Quarantined; q != 1 {
+		t.Fatalf("quarantined = %d, want 1", q)
 	}
 }

@@ -58,7 +58,7 @@ func TestCanonicalStability(t *testing.T) {
 		{Name: "4.5s"},
 		{Name: "4.5s", Params: map[string]any{"wait": "4.5s"}},
 	}
-	want, err := reg.Canonical(RoleDemote, equal[0])
+	want, err := canonicalOf(reg, RoleDemote, equal[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestCanonicalStability(t *testing.T) {
 		t.Fatalf("canonical %q", want)
 	}
 	for i, s := range equal {
-		got, err := reg.Canonical(RoleDemote, s)
+		got, err := canonicalOf(reg, RoleDemote, s)
 		if err != nil {
 			t.Fatalf("spec %d: %v", i, err)
 		}
@@ -74,7 +74,7 @@ func TestCanonicalStability(t *testing.T) {
 			t.Fatalf("spec %d canonical %q, want %q", i, got, want)
 		}
 	}
-	changed, err := reg.Canonical(RoleDemote, Spec{Name: "fixedtail", Params: map[string]any{"wait": "2s"}})
+	changed, err := canonicalOf(reg, RoleDemote, Spec{Name: "fixedtail", Params: map[string]any{"wait": "2s"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestCanonicalStability(t *testing.T) {
 	// change moves the encoding.
 	base := map[string]any{"window": 200, "gridsteps": 50, "minsample": 20}
 	canon := func(p map[string]any) string {
-		c, err := reg.Canonical(RoleDemote, Spec{Name: "makeidle", Params: p})
+		c, err := canonicalOf(reg, RoleDemote, Spec{Name: "makeidle", Params: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestLabelShowsOnlyNonDefaults(t *testing.T) {
 		{RoleActive, Spec{Name: "learn", Params: map[string]any{"maxdelay": "5s", "gamma": 0.008}}, "learn(maxdelay=5s)"},
 	}
 	for _, c := range cases {
-		got, err := reg.Label(c.role, c.spec)
+		got, err := labelOf(reg, c.role, c.spec)
 		if err != nil {
 			t.Fatalf("%+v: %v", c.spec, err)
 		}
@@ -185,7 +185,7 @@ func TestLegacyAliases(t *testing.T) {
 		"makeidle":  "makeidle(window=100,gridsteps=40,minsample=10)",
 	}
 	for name, want := range demotes {
-		got, err := reg.Canonical(RoleDemote, Spec{Name: name})
+		got, err := canonicalOf(reg, RoleDemote, Spec{Name: name})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -203,7 +203,7 @@ func TestLegacyAliases(t *testing.T) {
 		"fix":   "fix(burstgap=1s)",
 	}
 	for name, want := range actives {
-		got, err := reg.Canonical(RoleActive, Spec{Name: name})
+		got, err := canonicalOf(reg, RoleActive, Spec{Name: name})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -349,4 +349,15 @@ func TestUsageListsEverything(t *testing.T) {
 			t.Errorf("usage missing %q:\n%s", want, usage)
 		}
 	}
+}
+
+// canonicalOf and labelOf read one encoding of a spec's resolution.
+func canonicalOf(reg *Registry, role Role, s Spec) (string, error) {
+	res, err := reg.Resolution(role, s)
+	return res.Canonical, err
+}
+
+func labelOf(reg *Registry, role Role, s Spec) (string, error) {
+	res, err := reg.Resolution(role, s)
+	return res.Label, err
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/spec"
 )
 
 func TestPredefinedProfilesValid(t *testing.T) {
@@ -140,12 +142,14 @@ func TestWithDormancyFraction(t *testing.T) {
 	}
 }
 
+// TestByName: a legacy display name resolves, through its alias, to the
+// carrier it names under that spelling; an unknown name does not resolve.
 func TestByName(t *testing.T) {
-	p, ok := ByName("Verizon LTE")
-	if !ok || p.Tech != TechLTE {
-		t.Fatalf("ByName failed: %v %v", p, ok)
+	p, err := Default().NamedProfile(spec.Spec{Name: "Verizon LTE"}, "Verizon LTE")
+	if err != nil || p.Tech != TechLTE || p != VerizonLTE {
+		t.Fatalf("display-name lookup failed: %v %+v", err, p)
 	}
-	if _, ok := ByName("Sprint 5G"); ok {
+	if _, err := Default().NamedProfile(spec.Spec{Name: "Sprint 5G"}, "Sprint 5G"); err == nil {
 		t.Fatal("unknown name found")
 	}
 }

@@ -108,17 +108,3 @@ func Carriers() []Profile {
 	}
 	return out
 }
-
-// ByName returns the profile registered under the given name — a legacy
-// display name ("Verizon 3G") or a canonical schema name ("verizon-3g") —
-// if any. It is a compatibility shim over registry alias lookup: the
-// returned profile keeps the requested spelling as its Name, exactly as
-// the pre-registry closed set did. Parameterized lookups go through the
-// registry directly (or ProfileSpec).
-func ByName(name string) (Profile, bool) {
-	p, err := Default().NamedProfile(spec.Spec{Name: name}, name)
-	if err != nil {
-		return Profile{}, false
-	}
-	return p, true
-}

@@ -15,8 +15,7 @@ import (
 // inactivity timer, and the cross-carrier experiments (Figs. 17-18) are a
 // list of profile specs instead of a closed slice. The legacy display
 // names ("Verizon 3G") are registered as aliases, so every pre-registry
-// surface keeps resolving — ByName and Carriers are thin shims over this
-// registry.
+// surface keeps resolving; Carriers is a thin shim over this registry.
 
 // profileMeta is the domain payload of a profile schema: the RRC machine
 // shape (not a knob — it decides which timers exist at all) and the
@@ -50,15 +49,6 @@ func (r *Registry) Resolve(s spec.Spec) (*spec.Schema, spec.Params, error) {
 	return r.reg.Resolve(s)
 }
 
-// Canonical returns the byte-stable encoding of a profile spec (canonical
-// name, every parameter in declaration order). The v4 job fingerprint
-// hashes these.
-func (r *Registry) Canonical(s spec.Spec) (string, error) { return r.reg.Canonical(s) }
-
-// Label returns the short human-readable form: canonical name plus only
-// the non-default parameters, e.g. "verizon-lte(t1=5s)".
-func (r *Registry) Label(s spec.Spec) (string, error) { return r.reg.Label(s) }
-
 // Names lists every accepted profile name — canonical and alias — sorted.
 func (r *Registry) Names() []string { return r.reg.Names() }
 
@@ -75,19 +65,9 @@ func (r *Registry) Describe() []spec.SchemaInfo { return r.reg.Describe() }
 // Usage renders the profile catalog for CLI error messages.
 func (r *Registry) Usage() string { return r.reg.Usage() }
 
-// Profile resolves a spec and builds the corresponding validated Profile.
-// The profile's Name is the registry label ("verizon-lte" or
-// "verizon-lte(t1=5s)"); use NamedProfile to override it (the legacy
-// display names flow through that path).
-func (r *Registry) Profile(s spec.Spec) (Profile, error) {
-	label, err := r.Label(s)
-	if err != nil {
-		return Profile{}, err
-	}
-	return r.NamedProfile(s, label)
-}
-
-// NamedProfile is Profile with an explicit report/summary name.
+// NamedProfile resolves a spec and builds the corresponding validated
+// Profile under an explicit report/summary name (the legacy display names
+// flow through this path).
 func (r *Registry) NamedProfile(s spec.Spec, name string) (Profile, error) {
 	schema, params, err := r.Resolve(s)
 	if err != nil {
@@ -125,7 +105,8 @@ func buildProfile(schema *spec.Schema, params spec.Params, name string) (Profile
 
 // ProfileResolution is one resolution pass over a profile spec: the
 // validated Profile (named by the registry label) plus both registry
-// encodings, byte-identical to Canonical and Label.
+// encodings (see spec.Resolution): Label is the short form, e.g.
+// "verizon-lte(t1=5s)", and the v4 job fingerprint hashes Canonical.
 type ProfileResolution struct {
 	Profile   Profile
 	Canonical string

@@ -89,19 +89,24 @@ func TestRegistryDefaultsMatchTable2Vars(t *testing.T) {
 	}
 }
 
-// TestByNameShimAcceptsBothSpellings: the compatibility shim resolves
-// legacy display names (keeping their spelling) and canonical names, and
-// still rejects unknowns.
-func TestByNameShimAcceptsBothSpellings(t *testing.T) {
-	p, ok := ByName("Verizon 3G")
-	if !ok || p.Name != "Verizon 3G" || p != Verizon3G {
-		t.Fatalf("display-name lookup broke: ok=%v %+v", ok, p)
+// TestDisplayAndCanonicalNamesResolve: a profile axis value labeled with
+// its own flat name resolves legacy display names (keeping their
+// spelling) and canonical names, and still rejects unknowns; Carriers
+// builds the Table 2 rows under their display names.
+func TestDisplayAndCanonicalNamesResolve(t *testing.T) {
+	byName := func(name string) (Profile, error) {
+		rp, err := ProfileSpec{Label: name, Name: name}.Resolution(Default())
+		return rp.Profile, err
 	}
-	p, ok = ByName("verizon-lte")
-	if !ok || p.Name != "verizon-lte" || p.T1 != VerizonLTE.T1 {
-		t.Fatalf("canonical lookup broke: ok=%v %+v", ok, p)
+	p, err := byName("Verizon 3G")
+	if err != nil || p.Name != "Verizon 3G" || p != Verizon3G {
+		t.Fatalf("display-name lookup broke: err=%v %+v", err, p)
 	}
-	if _, ok := ByName("Nokia 1G"); ok {
+	p, err = byName("verizon-lte")
+	if err != nil || p.Name != "verizon-lte" || p.T1 != VerizonLTE.T1 {
+		t.Fatalf("canonical lookup broke: err=%v %+v", err, p)
+	}
+	if _, err := byName("Nokia 1G"); err == nil {
 		t.Fatal("unknown profile resolved")
 	}
 	carriers := Carriers()
@@ -119,7 +124,7 @@ func TestByNameShimAcceptsBothSpellings(t *testing.T) {
 // TestProfileKnobOverrides: every measured constant is an overridable,
 // bounds-checked knob, and overrides propagate into the built profile.
 func TestProfileKnobOverrides(t *testing.T) {
-	p, err := Default().Profile(spec.Spec{Name: "verizon-lte", Params: map[string]any{
+	p, err := profileOf(spec.Spec{Name: "verizon-lte", Params: map[string]any{
 		"t1": "5s", "t1power": 1000, "dormancy": 0.2, "uplink": 4.0,
 	}})
 	if err != nil {
@@ -143,12 +148,12 @@ func TestProfileKnobOverrides(t *testing.T) {
 		{Name: "verizon-3g", Params: map[string]any{"sendmw": 100}},
 		{Name: "warp-radio"},
 	} {
-		if _, err := Default().Profile(bad); err == nil {
+		if _, err := profileOf(bad); err == nil {
 			t.Errorf("spec %+v accepted", bad)
 		}
 	}
 	// 3G profiles do expose t2 — including t2 > t1, per Table 2.
-	p3, err := Default().Profile(spec.Spec{Name: "verizon-3g", Params: map[string]any{"t2": "12s"}})
+	p3, err := profileOf(spec.Spec{Name: "verizon-3g", Params: map[string]any{"t2": "12s"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +170,11 @@ func TestProfileKnobOverrides(t *testing.T) {
 // change moves the encoding.
 func TestProfileCanonicalStability(t *testing.T) {
 	reg := Default()
-	want, err := reg.Canonical(spec.Spec{Name: "verizon-lte"})
+	canonical := func(s spec.Spec) (string, error) {
+		res, err := reg.Resolution(s)
+		return res.Canonical, err
+	}
+	want, err := canonical(spec.Spec{Name: "verizon-lte"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +185,7 @@ func TestProfileCanonicalStability(t *testing.T) {
 		{Name: "Verizon LTE", Params: map[string]any{"uplink": 8}},
 	}
 	for i, s := range equal {
-		got, err := reg.Canonical(s)
+		got, err := canonical(s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,11 +193,17 @@ func TestProfileCanonicalStability(t *testing.T) {
 			t.Errorf("equivalent spec %d encoded %q, want %q", i, got, want)
 		}
 	}
-	changed, err := reg.Canonical(spec.Spec{Name: "verizon-lte", Params: map[string]any{"t1": "5s"}})
+	changed, err := canonical(spec.Spec{Name: "verizon-lte", Params: map[string]any{"t1": "5s"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if changed == want {
 		t.Fatal("t1 override did not change the canonical encoding")
 	}
+}
+
+// profileOf builds the validated Profile a spec resolves to.
+func profileOf(s spec.Spec) (Profile, error) {
+	res, err := Default().Resolution(s)
+	return res.Profile, err
 }

@@ -70,15 +70,6 @@ func (r *CohortRegistry) Resolve(s spec.Spec) (*spec.Schema, spec.Params, error)
 	return r.reg.Resolve(s)
 }
 
-// Canonical returns the byte-stable encoding of a cohort spec (canonical
-// name, every parameter in declaration order). The v4 job fingerprint
-// hashes these.
-func (r *CohortRegistry) Canonical(s spec.Spec) (string, error) { return r.reg.Canonical(s) }
-
-// Label returns the short human-readable form: canonical name plus only
-// the non-default parameters, e.g. "study-3g(users=1000)".
-func (r *CohortRegistry) Label(s spec.Spec) (string, error) { return r.reg.Label(s) }
-
 // Names lists every accepted cohort name — canonical and alias — sorted.
 func (r *CohortRegistry) Names() []string { return r.reg.Names() }
 
@@ -95,33 +86,10 @@ func (r *CohortRegistry) Describe() []spec.SchemaInfo { return r.reg.Describe() 
 // Usage renders the cohort catalog for CLI error messages.
 func (r *CohortRegistry) Usage() string { return r.reg.Usage() }
 
-// Plan resolves a cohort spec into a runnable plan.
-func (r *CohortRegistry) Plan(s spec.Spec) (CohortPlan, error) {
-	schema, params, err := r.Resolve(s)
-	if err != nil {
-		return CohortPlan{}, err
-	}
-	return buildPlan(schema, params)
-}
-
-// buildPlan assembles a CohortPlan from a resolved cohort schema.
-func buildPlan(schema *spec.Schema, params spec.Params) (CohortPlan, error) {
-	mixes, err := schema.Meta.(mixBuilder)(params)
-	if err != nil {
-		return CohortPlan{}, fmt.Errorf("cohort %q: %w", schema.Name, err)
-	}
-	return CohortPlan{
-		Users:      params.Int("users"),
-		Duration:   params.Duration("duration"),
-		Diurnal:    params.Bool("diurnal"),
-		SeedStride: params.Int("seedstride"),
-		Mixes:      mixes,
-	}, nil
-}
-
 // CohortResolution is one resolution pass over a cohort spec: the runnable
-// plan plus both registry encodings, byte-identical to Canonical and
-// Label.
+// plan plus both registry encodings (see spec.Resolution): Label is the
+// short form, e.g. "study-3g(users=1000)", and the v4 job fingerprint
+// hashes Canonical.
 type CohortResolution struct {
 	Plan      CohortPlan
 	Canonical string
@@ -134,9 +102,16 @@ func (r *CohortRegistry) Resolution(s spec.Spec) (CohortResolution, error) {
 	if err != nil {
 		return CohortResolution{}, err
 	}
-	plan, err := buildPlan(res.Schema, res.Params)
+	mixes, err := res.Schema.Meta.(mixBuilder)(res.Params)
 	if err != nil {
-		return CohortResolution{}, err
+		return CohortResolution{}, fmt.Errorf("cohort %q: %w", res.Schema.Name, err)
+	}
+	plan := CohortPlan{
+		Users:      res.Params.Int("users"),
+		Duration:   res.Params.Duration("duration"),
+		Diurnal:    res.Params.Bool("diurnal"),
+		SeedStride: res.Params.Int("seedstride"),
+		Mixes:      mixes,
 	}
 	return CohortResolution{Plan: plan, Canonical: res.Canonical, Label: res.Label}, nil
 }

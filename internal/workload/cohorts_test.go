@@ -13,7 +13,7 @@ import (
 func TestCohortPlans(t *testing.T) {
 	r := Cohorts()
 
-	plan, err := r.Plan(spec.Spec{Name: "study-3g"})
+	plan, err := planOf(r, spec.Spec{Name: "study-3g"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +22,7 @@ func TestCohortPlans(t *testing.T) {
 		t.Fatalf("study-3g default plan: %+v", plan)
 	}
 
-	plan, err = r.Plan(spec.Spec{Name: "study-lte", Params: map[string]any{
+	plan, err = planOf(r, spec.Spec{Name: "study-lte", Params: map[string]any{
 		"users": 7, "duration": "90m", "diurnal": false, "seedstride": 3,
 	}})
 	if err != nil {
@@ -33,7 +33,7 @@ func TestCohortPlans(t *testing.T) {
 		t.Fatalf("study-lte plan: %+v", plan)
 	}
 
-	plan, err = r.Plan(spec.Spec{Name: "mix", Params: map[string]any{"im": 2, "social": 1, "news": 0, "email": 0}})
+	plan, err = planOf(r, spec.Spec{Name: "mix", Params: map[string]any{"im": 2, "social": 1, "news": 0, "email": 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestCohortRejections(t *testing.T) {
 		{Name: "mix", Params: map[string]any{"im": 99}},
 	}
 	for i, s := range bad {
-		if _, err := r.Plan(s); err == nil {
+		if _, err := planOf(r, s); err == nil {
 			t.Errorf("spec %d (%+v) accepted", i, s)
 		}
 	}
@@ -75,11 +75,11 @@ func TestCohortRejections(t *testing.T) {
 // spellings encode identically; any knob change moves the encoding.
 func TestCohortCanonicalStability(t *testing.T) {
 	r := Cohorts()
-	want, err := r.Canonical(spec.Spec{Name: "study-3g", Params: map[string]any{"users": 50}})
+	want, err := canonicalOf(r, spec.Spec{Name: "study-3g", Params: map[string]any{"users": 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := r.Canonical(spec.Spec{Name: "study-3g", Params: map[string]any{
+	same, err := canonicalOf(r, spec.Spec{Name: "study-3g", Params: map[string]any{
 		"duration": "4h", "users": "50", "diurnal": true,
 	}})
 	if err != nil {
@@ -94,7 +94,7 @@ func TestCohortCanonicalStability(t *testing.T) {
 		{"users": 50, "diurnal": false},
 		{"users": 50, "seedstride": 2},
 	} {
-		got, err := r.Canonical(spec.Spec{Name: "study-3g", Params: mutated})
+		got, err := canonicalOf(r, spec.Spec{Name: "study-3g", Params: mutated})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,4 +102,15 @@ func TestCohortCanonicalStability(t *testing.T) {
 			t.Errorf("mutation %+v did not change the encoding", mutated)
 		}
 	}
+}
+
+// planOf and canonicalOf read one product of a cohort spec's resolution.
+func planOf(r *CohortRegistry, s spec.Spec) (CohortPlan, error) {
+	res, err := r.Resolution(s)
+	return res.Plan, err
+}
+
+func canonicalOf(r *CohortRegistry, s spec.Spec) (string, error) {
+	res, err := r.Resolution(s)
+	return res.Canonical, err
 }
