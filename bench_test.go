@@ -1,6 +1,8 @@
-// Benchmark harness: one benchmark per paper table/figure (see DESIGN.md's
-// per-experiment index), plus the §6.6 algorithm-overhead measurement and
-// ablation benches for the design knobs called out in DESIGN.md.
+// Benchmark harness: one benchmark per paper table/figure (the experiment
+// IDs registered in internal/experiments' All), plus the §6.6
+// algorithm-overhead measurement and ablation benches for MakeIdle's and
+// MakeActive's design knobs (wait-grid resolution, learning rate, the
+// switch-energy expectation).
 //
 // Run everything:
 //
@@ -206,7 +208,7 @@ func BenchmarkSimulator(b *testing.B) {
 	})
 }
 
-// Ablations (DESIGN.md §5): how the design knobs move the headline result.
+// Ablations: how the design knobs move the headline result.
 
 // BenchmarkAblationGridSteps sweeps the wait-grid resolution of MakeIdle's
 // argmax and reports the savings each setting achieves.
@@ -271,8 +273,9 @@ func BenchmarkAblationGamma(b *testing.B) {
 }
 
 // BenchmarkAblationExpectation compares the default strategy expectation
-// against the paper's literal E[E_wait_switch] formula (DESIGN.md §5,
-// decision 2), reporting the savings and FP-driving switch ratio of each.
+// against the paper's literal E[E_wait_switch] formula (see
+// policy.WithPaperExpectation), reporting the savings and FP-driving switch
+// ratio of each.
 func BenchmarkAblationExpectation(b *testing.B) {
 	u := workload.Verizon3GUsers()[0]
 	tr := u.Generate(1, time.Hour)

@@ -10,8 +10,8 @@
 //	experiments -run sweep -users 100    # dormancy-tail grid via policy specs
 //
 // Output is text: tables whose rows correspond to the bars/points of the
-// paper's figures. EXPERIMENTS.md records a reference run next to the
-// paper's numbers.
+// paper's figures. testdata/all.golden pins a short reference run of every
+// experiment (-run all -app-duration 12m -user-duration 15m).
 //
 // Every experiment fans its replays across the fleet runtime; -parallel
 // bounds the worker count (results are identical for any value), -users

@@ -139,8 +139,7 @@ func PowerTimeline(prof power.Profile, burst time.Duration) (*report.Series, err
 // within 10%. Without hardware, the measurement is simulated: the ground
 // truth integrates the RRC state timeline at fine granularity with
 // per-packet transmission power and multiplicative measurement noise, while
-// the estimate is the coarse per-packet model used everywhere else
-// (DESIGN.md documents the substitution).
+// the estimate is the coarse per-packet model used everywhere else.
 func Fig8(cfg Config) (string, error) {
 	cfg = cfg.withDefaults()
 	type trial struct {

@@ -4,9 +4,9 @@
 // output, and is registered in All so cmd/experiments and the benchmark
 // harness can enumerate them.
 //
-// The correspondence between experiment IDs, paper artifacts, workloads and
-// modules is tabulated in DESIGN.md; measured-vs-paper numbers are recorded
-// in EXPERIMENTS.md.
+// Each Experiment's Title names the paper artifact its ID regenerates
+// (`experiments -list` prints them), and cmd/experiments' golden test pins
+// a short reference run of every one.
 package experiments
 
 import (
@@ -195,37 +195,48 @@ func FleetSchemes(burstGap time.Duration) []fleet.Scheme {
 // scheme-matrix cell, so relative metrics pair against it).
 func statusQuoScheme() fleet.Scheme { return fleet.StatusQuoScheme() }
 
+// traceSource wraps a shared materialized trace as a fleet job source:
+// every replay reads the same slice from the start. These experiment
+// cohorts are small enough to hold, so each trace is generated once
+// however many jobs replay it.
+func traceSource(tr trace.Trace) func(int64) trace.Source {
+	return func(int64) trace.Source { return tr.Source() }
+}
+
+// outcomeResult is the fleet.Collect projection keeping each job's Result.
+func outcomeResult(out fleet.Outcome) *sim.Result { return out.Result }
+
 // schemeMatrixJobs expands (traces × [statusquo + schemes]) into fleet jobs
 // in trace-major order: jobs[t*(1+len(schemes))] is trace t's status quo.
-// Traces are shared across a row's jobs (replays only read them), so each
-// is generated once however many schemes replay it — these experiment
-// cohorts are small enough to hold, unlike the Gen-per-job fleet path.
+// Traces are shared across a row's jobs (replays only read them).
 func schemeMatrixJobs(traces []trace.Trace, seeds []int64, prof power.Profile, schemes []fleet.Scheme, opts *sim.Options) []fleet.Job {
 	rows := append([]fleet.Scheme{statusQuoScheme()}, schemes...)
 	jobs := make([]fleet.Job, 0, len(traces)*len(rows))
-	for t := range traces {
+	for t, tr := range traces {
+		src := traceSource(tr)
 		for _, s := range rows {
 			jobs = append(jobs, fleet.Job{
-				Seed:    seeds[t],
-				Trace:   traces[t],
-				Profile: prof,
-				Scheme:  s.Name,
-				Demote:  s.Demote,
-				Active:  s.Active,
-				Opts:    opts,
+				Seed:     seeds[t],
+				Source:   src,
+				Profile:  prof,
+				Scheme:   s.Name,
+				Demote:   s.Demote,
+				Active:   s.Active,
+				FitTrace: s.FitTrace,
+				Opts:     opts,
 			})
 		}
 	}
 	return jobs
 }
 
-// schemeResultsFrom pairs a trace's collected outcomes against its status
+// schemeResultsFrom pairs a trace's collected results against its status
 // quo (job base) and builds the relative SchemeResults in scheme order.
-func schemeResultsFrom(cells map[int]fleet.Outcome, base int, schemes []fleet.Scheme) (*sim.Result, []SchemeResult) {
-	statusQuo := cells[base].Result
+func schemeResultsFrom(cells map[int]*sim.Result, base int, schemes []fleet.Scheme) (*sim.Result, []SchemeResult) {
+	statusQuo := cells[base]
 	results := make([]SchemeResult, 0, len(schemes))
 	for j, s := range schemes {
-		r := cells[base+1+j].Result
+		r := cells[base+1+j]
 		results = append(results, SchemeResult{
 			Scheme:          s.Name,
 			Result:          r,
@@ -250,19 +261,8 @@ func runSchemesFleet(tr trace.Trace, prof power.Profile, opts *sim.Options, fopt
 		bg = opts.BurstGap
 	}
 	schemes := FleetSchemes(bg)
-	rows := append([]fleet.Scheme{statusQuoScheme()}, schemes...)
-	jobs := make([]fleet.Job, 0, len(rows))
-	for _, s := range rows {
-		jobs = append(jobs, fleet.Job{
-			Trace:   tr,
-			Profile: prof,
-			Scheme:  s.Name,
-			Demote:  s.Demote,
-			Active:  s.Active,
-			Opts:    opts,
-		})
-	}
-	cells, err := fleet.Run(jobs, fopts, fleet.Collect())
+	jobs := schemeMatrixJobs([]trace.Trace{tr}, []int64{0}, prof, schemes, opts)
+	cells, err := fleet.Run(jobs, fopts, fleet.Collect(outcomeResult))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -282,8 +282,8 @@ func userTraces(users []workload.User, seed int64, d time.Duration) (traces []tr
 	return traces, seeds
 }
 
-// sortedKeys returns map keys in SchemeNames order, then alphabetical for
-// any extras.
+// schemeOrder returns map keys in SchemeNames order, then alphabetical
+// for any extras.
 func schemeOrder(m map[string]float64) []string {
 	var keys []string
 	seen := map[string]bool{}

@@ -37,24 +37,6 @@ func DelayComparison(tr trace.Trace, prof power.Profile) (learn, fixed metrics.D
 	return metrics.Delays(rl.BurstDelays), metrics.Delays(rf.BurstDelays), nil
 }
 
-// delayStatsAccumulator folds each outcome's burst delays into exact
-// per-job DelayStats and drops the result — nothing else survives.
-func delayStatsAccumulator() fleet.Accumulator[map[int]metrics.DelayStats] {
-	return fleet.Accumulator[map[int]metrics.DelayStats]{
-		New: func() map[int]metrics.DelayStats { return map[int]metrics.DelayStats{} },
-		Fold: func(m map[int]metrics.DelayStats, out fleet.Outcome) map[int]metrics.DelayStats {
-			m[out.Index] = metrics.Delays(out.Result.BurstDelays)
-			return m
-		},
-		Merge: func(a, b map[int]metrics.DelayStats) map[int]metrics.DelayStats {
-			for k, v := range b {
-				a[k] = v
-			}
-			return a
-		},
-	}
-}
-
 // delayTable renders Fig. 15 for one user cohort: one fleet job per
 // (user × MakeActive variant).
 func delayTable(title string, users []workload.User, prof power.Profile, cfg Config) (string, error) {
@@ -67,18 +49,23 @@ func delayTable(title string, users []workload.User, prof power.Profile, cfg Con
 		{Name: "fixed", Demote: fleet.MakeIdleScheme().Demote,
 			Active: func(tr trace.Trace, prof power.Profile) (policy.ActivePolicy, error) {
 				return policy.NewFixedDelay(tr, &prof, time.Second), nil
-			}},
+			},
+			FitTrace: true},
 	}
 	var jobs []fleet.Job
-	for t := range traces {
+	for t, tr := range traces {
+		src := traceSource(tr)
 		for _, v := range variants {
 			jobs = append(jobs, fleet.Job{
-				Seed: seeds[t], Trace: traces[t], Profile: prof,
-				Scheme: v.Name, Demote: v.Demote, Active: v.Active,
+				Seed: seeds[t], Source: src, Profile: prof,
+				Scheme: v.Name, Demote: v.Demote, Active: v.Active, FitTrace: v.FitTrace,
 			})
 		}
 	}
-	cells, err := fleet.Run(jobs, cfg.fleetOpts(), delayStatsAccumulator())
+	// Only each job's exact DelayStats survive the fold, not its Result.
+	cells, err := fleet.Run(jobs, cfg.fleetOpts(), fleet.Collect(func(out fleet.Outcome) metrics.DelayStats {
+		return metrics.Delays(out.Result.BurstDelays)
+	}))
 	if err != nil {
 		return "", fmt.Errorf("%s: %w", title, err)
 	}
@@ -183,8 +170,8 @@ func Table3(cfg Config) (string, error) {
 	for _, prof := range carriers {
 		for t := range traces {
 			jobs = append(jobs, fleet.Job{
-				Seed: seeds[t], Trace: traces[t], Profile: prof,
-				Scheme: prof.Name, Demote: comb.Demote, Active: comb.Active,
+				Seed: seeds[t], Source: traceSource(traces[t]), Profile: prof,
+				Scheme: prof.Name, Demote: comb.Demote, Active: comb.Active, FitTrace: comb.FitTrace,
 			})
 		}
 	}

@@ -40,33 +40,24 @@ func confusionTable(title string, users []workload.User, prof power.Profile, cfg
 	schemes := confusionPolicies()
 	opts := &sim.Options{RecordDecisions: true}
 	var jobs []fleet.Job
-	for t := range traces {
+	for t, tr := range traces {
+		src := traceSource(tr)
 		for _, s := range schemes {
 			jobs = append(jobs, fleet.Job{
-				Seed:    seeds[t],
-				Trace:   traces[t],
-				Profile: prof,
-				Scheme:  s.Name,
-				Demote:  s.Demote,
-				Opts:    opts,
+				Seed:     seeds[t],
+				Source:   src,
+				Profile:  prof,
+				Scheme:   s.Name,
+				Demote:   s.Demote,
+				FitTrace: s.FitTrace,
+				Opts:     opts,
 			})
 		}
 	}
 	th := energy.Threshold(&prof)
-	scores := fleet.Accumulator[map[int]metrics.Confusion]{
-		New: func() map[int]metrics.Confusion { return map[int]metrics.Confusion{} },
-		Fold: func(m map[int]metrics.Confusion, out fleet.Outcome) map[int]metrics.Confusion {
-			m[out.Index] = metrics.Score(out.Result.Decisions, th)
-			return m
-		},
-		Merge: func(a, b map[int]metrics.Confusion) map[int]metrics.Confusion {
-			for k, v := range b {
-				a[k] = v
-			}
-			return a
-		},
-	}
-	cells, err := fleet.Run(jobs, cfg.fleetOpts(), scores)
+	cells, err := fleet.Run(jobs, cfg.fleetOpts(), fleet.Collect(func(out fleet.Outcome) metrics.Confusion {
+		return metrics.Score(out.Result.Decisions, th)
+	}))
 	if err != nil {
 		return "", fmt.Errorf("%s: %w", title, err)
 	}

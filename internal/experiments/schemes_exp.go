@@ -26,7 +26,7 @@ func Fig9(cfg Config) (string, error) {
 	}
 	schemes := FleetSchemes(0)
 	jobs := schemeMatrixJobs(traces, seeds, power.TMobile3G, schemes, nil)
-	cells, err := fleet.Run(jobs, cfg.fleetOpts(), fleet.Collect())
+	cells, err := fleet.Run(jobs, cfg.fleetOpts(), fleet.Collect(outcomeResult))
 	if err != nil {
 		return "", fmt.Errorf("fig9: %w", err)
 	}
@@ -52,7 +52,7 @@ func perUserTables(title string, users []workload.User, prof power.Profile, cfg 
 	traces, seeds := userTraces(users, cfg.Seed, cfg.UserDuration)
 	schemes := FleetSchemes(0)
 	jobs := schemeMatrixJobs(traces, seeds, prof, schemes, nil)
-	cells, err := fleet.Run(jobs, cfg.fleetOpts(), fleet.Collect())
+	cells, err := fleet.Run(jobs, cfg.fleetOpts(), fleet.Collect(outcomeResult))
 	if err != nil {
 		return "", fmt.Errorf("%s: %w", title, err)
 	}
@@ -189,20 +189,22 @@ func DormancySensitivity(cfg Config) (string, error) {
 	fractions := []float64{0.1, 0.2, 0.4, 0.5}
 
 	mi := fleet.MakeIdleScheme()
+	src := traceSource(tr)
 	var jobs []fleet.Job
 	for _, f := range fractions {
 		prof := power.Verizon3G.WithDormancyFraction(f)
 		for _, s := range []fleet.Scheme{fleet.StatusQuoScheme(), mi} {
 			jobs = append(jobs, fleet.Job{
-				Trace:   tr,
-				Profile: prof,
-				Scheme:  s.Name,
-				Demote:  s.Demote,
-				Active:  s.Active,
+				Source:   src,
+				Profile:  prof,
+				Scheme:   s.Name,
+				Demote:   s.Demote,
+				Active:   s.Active,
+				FitTrace: s.FitTrace,
 			})
 		}
 	}
-	cells, err := fleet.Run(jobs, cfg.fleetOpts(), fleet.Collect())
+	cells, err := fleet.Run(jobs, cfg.fleetOpts(), fleet.Collect(outcomeResult))
 	if err != nil {
 		return "", err
 	}

@@ -14,9 +14,10 @@ import (
 // Scheme couples a label with the policy factories that realize it. The
 // factories receive the job's trace and profile so trace-fitted baselines
 // (95% IAT, MakeActive-Fix) can be built inside the worker; FitTrace marks
-// schemes that actually need that trace, forcing streaming jobs to
-// materialize (see Job.FitTrace). Schemes whose policies learn online
-// leave it unset and replay in O(1) memory.
+// schemes that actually need that trace — only their jobs collect it, for
+// one fit pass (see Job.FitTrace) — and every job built from a scheme must
+// copy it. Schemes whose policies learn online leave it unset, receive a
+// nil trace and replay in O(1) memory.
 type Scheme struct {
 	Name     string
 	Demote   func(tr trace.Trace, prof power.Profile) (policy.DemotePolicy, error)

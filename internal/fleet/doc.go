@@ -8,8 +8,9 @@
 // Results are bit-identical for any worker count. Jobs are partitioned into
 // contiguous shards by submission order; a shard is the unit of scheduling,
 // and within a shard jobs run sequentially in order. Each shard folds its
-// outcomes into its own accumulator, and shard accumulators merge in shard
-// index order after all workers finish. Worker count therefore only decides
+// outcomes into its own accumulator, and shard accumulators merge eagerly
+// in shard index order: a shard that finishes early waits until every
+// earlier shard has merged. Worker count therefore only decides
 // which goroutine runs a shard, never the order of any floating-point
 // reduction. Changing the shard count regroups the reduction and may move
 // results by float-rounding noise; changing the worker count cannot.
@@ -18,8 +19,10 @@
 //
 // Each worker owns one reusable sim.Engine, and each shard holds one
 // accumulator. Aggregating an n-user cohort therefore costs O(workers +
-// shards) live state, not O(n): traces are generated in-worker from the
-// job's seed, replayed, folded, and dropped.
+// shards) live state, not O(n): every job is a source constructor, so a
+// worker streams each replay's packets on demand from the job's seed, or
+// decodes them from the run's TraceCache slab, folds the outcome, and
+// keeps nothing.
 //
 // # Progress and cancellation
 //

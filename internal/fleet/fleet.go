@@ -50,7 +50,7 @@ type Options struct {
 	// discarded — a canceled run never exposes a partial total.
 	Cancel <-chan struct{}
 	// TraceCache, when non-nil, memoizes generated traffic (as encoded
-	// byte slabs) for Source jobs that carry a CacheKey, so repeated
+	// byte slabs) for jobs that carry a CacheKey, so repeated
 	// sweeps over the same cohort synthesize each user's packets once
 	// instead of twice per job per cell. Safe to share across concurrent
 	// runs; generation is single-flight per key.
@@ -92,58 +92,49 @@ func (o Options) shards(jobs int) int {
 // progress denominators up front.
 func (o Options) NumShards(n int) int { return o.shards(n) }
 
-// Job is one replay: a packet source (streamed from a constructor,
-// generated in-worker from the seed, or an explicit trace), a carrier
-// profile, and the policy pair to replay it under.
+// Job is one replay: a packet source constructor, a carrier profile, and
+// the policy pair to replay it under.
 type Job struct {
-	// Seed is passed to Source/Gen; it also identifies the job in reports.
+	// Seed is passed to Source; it also identifies the job in reports.
 	// Seeds are the caller's contract for determinism: same seed, same
 	// packets.
 	Seed int64
-	// Trace is a materialized packet trace to replay. Prefer Source at
-	// fleet scale.
-	Trace trace.Trace
-	// Gen builds the job's trace from Seed inside the worker (the trace
-	// lives only for the duration of the job).
-	Gen func(seed int64) trace.Trace
-	// Source constructs a streaming packet source from Seed. This is the
-	// preferred form at fleet scale: the worker pulls packets on demand,
-	// so per-worker memory is independent of trace duration. The
-	// constructor is invoked once per replay (twice with Baseline set), so
-	// it must be deterministic in Seed. At least one of Trace, Gen or
-	// Source must be set; when several are, Trace wins over Gen, which
-	// wins over Source (a materialized form always takes precedence).
+	// Source constructs the job's packet source from Seed; it is required.
+	// The worker pulls packets on demand, so per-worker memory is
+	// independent of trace duration. The constructor is invoked once per
+	// replay (twice with Baseline set, once more for a FitTrace fit pass),
+	// so it must be deterministic in Seed. Callers holding a materialized
+	// trace wrap it as func(int64) trace.Source { return tr.Source() }.
 	Source func(seed int64) trace.Source
 	// Profile is the carrier power profile to replay against.
 	Profile power.Profile
 	// Scheme labels the policy pair in aggregates (e.g. "MakeIdle").
 	Scheme string
 	// Demote constructs the demote policy for this job. Called once per
-	// job with the job's trace, so trace-fitted baselines (95% IAT) work;
-	// must return a fresh policy (jobs share nothing). Streaming jobs
-	// call it with a nil trace unless FitTrace is set.
+	// job (or once per policy-cache key, see PolicyKey) with the job's
+	// materialized trace when FitTrace is set and a nil trace otherwise;
+	// must return a fresh policy (jobs share nothing).
 	Demote func(tr trace.Trace, prof power.Profile) (policy.DemotePolicy, error)
 	// Active constructs the batching policy; a nil factory (or a nil
 	// policy from it) disables batching. Errors fail the job like Demote
 	// errors do.
 	Active func(tr trace.Trace, prof power.Profile) (policy.ActivePolicy, error)
 	// FitTrace marks policy factories that must see the materialized
-	// trace (95% IAT quantile fitting, MakeActive-Fix). A Source job with
-	// FitTrace set collects its source into a slice for one fit pass —
-	// the policy factories run against it — then frees the slice and
-	// replays streaming, so only the fit itself is O(trace) in memory and
-	// both replays stay O(1) like any other Source job.
+	// trace (95% IAT quantile fitting, MakeActive-Fix). The worker
+	// collects the job's packets into a slice for one fit pass — the
+	// policy factories run against it — then drops the slice and replays
+	// streaming, so only the fit itself is O(trace) in memory.
 	FitTrace bool
 	// Opts are the simulation options for both the run and its baseline.
 	Opts *sim.Options
 	// Baseline also replays the trace under policy.StatusQuo so the fold
 	// can compute relative metrics (savings, switch ratio).
 	Baseline bool
-	// CacheKey, when non-empty on a Source job, lets Options.TraceCache
-	// memoize the materialized packets. The key must determine the packet
-	// stream completely (generator config plus Seed); Cohort.Jobs derives
-	// one from the cohort's canonical encoding. Empty disables caching for
-	// this job.
+	// CacheKey, when non-empty, lets Options.TraceCache memoize the job's
+	// packets; a FitTrace job then fits against the cached slab. The key
+	// must determine the packet stream completely (generator config plus
+	// Seed); Cohort.Jobs derives one from the cohort's canonical encoding.
+	// Empty disables caching for this job.
 	CacheKey string
 	// PolicyKey, when non-empty, lets workers reuse one constructed policy
 	// pair across jobs, relying on the engine's per-run policy Reset. The
@@ -225,35 +216,32 @@ type workerState struct {
 	bytes trace.BytesSource
 }
 
-// slots returns the Result pair replays should write into, or nils when
-// the accumulator may retain results (each replay then allocates fresh).
-func (ws *workerState) slots(reuse bool) (base, main *sim.Result) {
-	if reuse {
-		return &ws.base, &ws.main
+// open returns a source over the job's packets for one pass: the worker's
+// slab cursor rewound onto slab when the job is cached, otherwise a fresh
+// source from the job's constructor.
+func (ws *workerState) open(job *Job, slab []byte) (trace.Source, error) {
+	if slab == nil {
+		return job.Source(job.Seed), nil
 	}
-	return nil, nil
-}
-
-// runTrace replays a materialized trace on the worker's engine, into slot
-// when one is given.
-func (ws *workerState) runTrace(slot *sim.Result, tr trace.Trace, prof power.Profile,
-	demote policy.DemotePolicy, active policy.ActivePolicy, opts *sim.Options) (*sim.Result, error) {
-	if slot == nil {
-		return ws.engine.Run(tr, prof, demote, active, opts)
-	}
-	if err := ws.engine.RunInto(slot, tr, prof, demote, active, opts); err != nil {
+	if err := ws.bytes.Reset(slab); err != nil {
 		return nil, err
 	}
-	return slot, nil
+	return &ws.bytes, nil
 }
 
-// runSrc is runTrace for a streaming source.
-func (ws *workerState) runSrc(slot *sim.Result, src trace.Source, prof power.Profile,
-	demote policy.DemotePolicy, active policy.ActivePolicy, opts *sim.Options) (*sim.Result, error) {
-	if slot == nil {
-		return ws.engine.RunSource(src, prof, demote, active, opts)
+// replay runs one pass of the job's packets under the given policies. With
+// reuse (Accumulator.Transient) it overwrites slot, one of the worker's
+// Result pair; otherwise it allocates a fresh Result the fold may retain.
+func (ws *workerState) replay(slot *sim.Result, reuse bool, job *Job, slab []byte,
+	demote policy.DemotePolicy, active policy.ActivePolicy) (*sim.Result, error) {
+	src, err := ws.open(job, slab)
+	if err != nil {
+		return nil, err
 	}
-	if err := ws.engine.RunSourceInto(slot, src, prof, demote, active, opts); err != nil {
+	if !reuse {
+		slot = new(sim.Result)
+	}
+	if err := ws.engine.RunSourceInto(slot, src, job.Profile, demote, active, job.Opts); err != nil {
 		return nil, err
 	}
 	return slot, nil
@@ -293,10 +281,11 @@ var workerPool = sync.Pool{New: func() any {
 // policyPair returns the job's constructed policy pair, reusing the
 // worker's cache when the key is sound: PolicyKey set, and — for
 // trace-fitted schemes — a fit-trace identity (ck.fit) that pins which
-// trace the policies were fitted to. fit supplies the trace handed to
-// the factories and is invoked only on a cache miss (nil means no
-// trace), so a memoized fit skips even the trace materialization.
-func (ws *workerState) policyPair(job *Job, ck policyCacheKey, fit func() (trace.Trace, error)) (policy.DemotePolicy, policy.ActivePolicy, error) {
+// trace the policies were fitted to. Only a cache miss of a FitTrace job
+// collects the fit trace (from slab when the job is cached), so a memoized
+// fit skips even the trace materialization; the collected slice is a local
+// that is dropped before any replay starts.
+func (ws *workerState) policyPair(job *Job, ck policyCacheKey, slab []byte) (policy.DemotePolicy, policy.ActivePolicy, error) {
 	cacheable := ck.key != "" && (!job.FitTrace || ck.fit != "")
 	if cacheable {
 		if p, ok := ws.policies[ck]; ok {
@@ -304,10 +293,13 @@ func (ws *workerState) policyPair(job *Job, ck policyCacheKey, fit func() (trace
 		}
 	}
 	var ft trace.Trace
-	if fit != nil {
-		var err error
-		if ft, err = fit(); err != nil {
+	if job.FitTrace {
+		src, err := ws.open(job, slab)
+		if err != nil {
 			return nil, nil, err
+		}
+		if ft, err = trace.Collect(src); err != nil {
+			return nil, nil, fmt.Errorf("collecting source for fit: %w", err)
 		}
 	}
 	demote, err := job.Demote(ft, job.Profile)
@@ -361,8 +353,8 @@ func Run[A any](jobs []Job, opts Options, acc Accumulator[A]) (A, error) {
 func runHooked[A any](jobs []Job, opts Options, acc Accumulator[A], hook func(snap func() A, p Progress)) (A, error) {
 	var zero A
 	for i := range jobs {
-		if jobs[i].Trace == nil && jobs[i].Gen == nil && jobs[i].Source == nil {
-			return zero, fmt.Errorf("fleet: job %d has no Trace, Gen or Source", i)
+		if jobs[i].Source == nil {
+			return zero, fmt.Errorf("fleet: job %d has no Source", i)
 		}
 		if jobs[i].Demote == nil {
 			return zero, fmt.Errorf("fleet: job %d has no Demote factory", i)
@@ -376,11 +368,6 @@ func runHooked[A any](jobs []Job, opts Options, acc Accumulator[A], hook func(sn
 	}
 
 	nshards := opts.shards(len(jobs))
-	workers := opts.workers()
-	if workers > nshards {
-		workers = nshards
-	}
-
 	var (
 		// hookMu serializes hook callbacks (and keeps their progress
 		// counts monotone); mu guards the merge state. Lock order is always
@@ -448,46 +435,20 @@ func runHooked[A any](jobs []Job, opts Options, acc Accumulator[A], hook func(sn
 		return zero, false
 	}
 
-	shardCh := make(chan int)
-	var wg sync.WaitGroup
-	worker := func(budgeted bool) {
-		defer wg.Done()
-		if budgeted {
-			defer opts.Budget.Release()
+	forEachShard(nshards, opts.workers(), opts.Budget, func(ws *workerState, s int) {
+		a, ok := scratch()
+		if !ok {
+			a = acc.New()
 		}
-		ws := workerPool.Get().(*workerState)
-		defer workerPool.Put(ws)
-		for s := range shardCh {
-			a, ok := scratch()
-			if !ok {
-				a = acc.New()
-			}
-			a, err := runShard(jobs, s, nshards, ws, acc, opts, a)
-			if err != nil {
-				mu.Lock()
-				errs[s] = err
-				mu.Unlock()
-				continue
-			}
-			complete(s, a)
+		a, err := runShard(jobs, s, nshards, ws, acc, opts, a)
+		if err != nil {
+			mu.Lock()
+			errs[s] = err
+			mu.Unlock()
+			return
 		}
-	}
-	// The first worker always runs — under a budget it is covered by the
-	// token the caller holds for this run. Extras are opportunistic.
-	wg.Add(1)
-	go worker(false)
-	for w := 1; w < workers; w++ {
-		if opts.Budget != nil && !opts.Budget.TryAcquire() {
-			break
-		}
-		wg.Add(1)
-		go worker(opts.Budget != nil)
-	}
-	for s := 0; s < nshards; s++ {
-		shardCh <- s
-	}
-	close(shardCh)
-	wg.Wait()
+		complete(s, a)
+	})
 
 	for s := 0; s < nshards; s++ {
 		if errs[s] != nil {
@@ -495,6 +456,47 @@ func runHooked[A any](jobs []Job, opts Options, acc Accumulator[A], hook func(sn
 		}
 	}
 	return merged, nil
+}
+
+// forEachShard calls fn for every shard index in [0, nshards) on up to
+// workers goroutines, each holding one pooled workerState for its whole
+// life, and returns once every shard has run. The first worker always
+// runs — under a budget it is covered by the token the caller holds for
+// the run — and each extra worker needs a budget token, released when it
+// exits; a nil budget spawns them all. Fewer workers never change results.
+func forEachShard(nshards, workers int, budget TokenSource, fn func(ws *workerState, s int)) {
+	shardCh := make(chan int)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go shardWorker(shardCh, &wg, nil, fn)
+	for w := 1; w < min(workers, nshards); w++ {
+		if budget != nil && !budget.TryAcquire() {
+			break
+		}
+		wg.Add(1)
+		go shardWorker(shardCh, &wg, budget, fn)
+	}
+	for s := 0; s < nshards; s++ {
+		shardCh <- s
+	}
+	close(shardCh)
+	wg.Wait()
+}
+
+// shardWorker is one forEachShard goroutine: it runs fn on every shard it
+// receives, then returns its budget token when it holds one (release
+// non-nil). It is a plain function rather than a closure inside
+// forEachShard so a run allocates no more than the caller's fn.
+func shardWorker(shardCh <-chan int, wg *sync.WaitGroup, release TokenSource, fn func(ws *workerState, s int)) {
+	defer wg.Done()
+	if release != nil {
+		defer release.Release()
+	}
+	ws := workerPool.Get().(*workerState)
+	defer workerPool.Put(ws)
+	for s := range shardCh {
+		fn(ws, s)
+	}
 }
 
 // canceled reports whether the (possibly nil) cancel channel is closed.
@@ -522,33 +524,14 @@ func Map[T any](n int, opts Options, fn func(i int, engine *sim.Engine) (T, erro
 		return nil, nil
 	}
 	nshards := opts.shards(n)
-	workers := opts.workers()
-	if workers > nshards {
-		workers = nshards
-	}
 	results := make([]T, n)
 	errs := make([]error, n)
-	shardCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ws := workerPool.Get().(*workerState)
-			defer workerPool.Put(ws)
-			for s := range shardCh {
-				lo, hi := shardRange(n, s, nshards)
-				for i := lo; i < hi; i++ {
-					results[i], errs[i] = fn(i, ws.engine)
-				}
-			}
-		}()
-	}
-	for s := 0; s < nshards; s++ {
-		shardCh <- s
-	}
-	close(shardCh)
-	wg.Wait()
+	forEachShard(nshards, opts.workers(), nil, func(ws *workerState, s int) {
+		lo, hi := shardRange(n, s, nshards)
+		for i := lo; i < hi; i++ {
+			results[i], errs[i] = fn(i, ws.engine)
+		}
+	})
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			return nil, errs[i]
@@ -557,17 +540,20 @@ func Map[T any](n int, opts Options, fn func(i int, engine *sim.Engine) (T, erro
 	return results, nil
 }
 
-// Collect is an accumulator retaining every outcome, keyed by job index —
-// for table-rendering experiments whose cohorts are small enough to hold.
-// Fleet-scale runs should reduce with SummaryAccumulator instead.
-func Collect() Accumulator[map[int]Outcome] {
-	return Accumulator[map[int]Outcome]{
-		New: func() map[int]Outcome { return map[int]Outcome{} },
-		Fold: func(m map[int]Outcome, out Outcome) map[int]Outcome {
-			m[out.Index] = out
+// Collect is an accumulator retaining one projection of every outcome,
+// keyed by job index — for table-rendering experiments whose cohorts are
+// small enough to hold. project runs in the fold, so it may keep the
+// outcome's Result (the accumulator is not Transient) or reduce it to the
+// few numbers a table needs. Fleet-scale runs should reduce with
+// SummaryAccumulator instead.
+func Collect[T any](project func(Outcome) T) Accumulator[map[int]T] {
+	return Accumulator[map[int]T]{
+		New: func() map[int]T { return map[int]T{} },
+		Fold: func(m map[int]T, out Outcome) map[int]T {
+			m[out.Index] = project(out)
 			return m
 		},
-		Merge: func(a, b map[int]Outcome) map[int]Outcome {
+		Merge: func(a, b map[int]T) map[int]T {
 			//rrclint:ordered map-to-map copy of distinct job indices; the result is a map, no order reaches bytes
 			for k, v := range b {
 				a[k] = v
@@ -594,14 +580,13 @@ func shardRange(jobs, s, nshards int) (lo, hi int) {
 // Cancellation is checked before every job. Transient accumulators let the
 // replays reuse the worker's Result pair instead of allocating per run.
 func runShard[A any](jobs []Job, s, nshards int, ws *workerState, acc Accumulator[A], opts Options, a A) (A, error) {
-	reuse := acc.Transient
 	lo, hi := shardRange(len(jobs), s, nshards)
 	for i := lo; i < hi; i++ {
 		if canceled(opts.Cancel) {
 			var zero A
 			return zero, fmt.Errorf("fleet: shard %d at job %d: %w", s, i, ErrCanceled)
 		}
-		out, err := runJob(&jobs[i], i, ws, opts.TraceCache, reuse)
+		out, err := runJob(&jobs[i], i, ws, opts.TraceCache, acc.Transient)
 		if err != nil {
 			var zero A
 			return zero, fmt.Errorf("fleet: job %d (scheme %q, seed %d): %w",
@@ -612,149 +597,44 @@ func runShard[A any](jobs []Job, s, nshards int, ws *workerState, acc Accumulato
 	return a, nil
 }
 
-// runJob replays the job (plus its baseline) on the worker's engine:
-// streaming straight from the source constructor when one is given,
-// falling back to a materialized trace for explicit traces and Gen jobs.
-// Cacheable Source jobs (CacheKey set, cache provided) replay the memoized
-// materialized trace instead — byte-identical to streaming the same seed,
-// but synthesized once per cache lifetime rather than per replay. reuse
-// (from Accumulator.Transient) routes both replays into the worker's
-// Result pair; the Outcome then aliases worker scratch and is valid only
-// during the fold, exactly what Outcome's contract already says.
+// runJob replays the job, plus its baseline, on the worker's engine. A job
+// with a CacheKey, run with a trace cache, replays out of the cache's
+// shared byte slab: the first toucher of the key streams the generator
+// through the rrcstream codec into the slab (single-flight — concurrent
+// cells wait rather than duplicate the generation), and every replay
+// decodes zero-copy from those bytes. Any other job pulls a fresh source
+// from its constructor for each pass. The codec round-trips exactly and
+// the engine replays any source of the same packets byte-identically, so
+// the two agree bit for bit. A trace-fitted job's fitted pair is memoized
+// per worker under (scheme, trace, profile) only when cached, since only
+// then does the CacheKey pin the fit trace. reuse (from
+// Accumulator.Transient) routes both replays into the worker's Result
+// pair; the Outcome then aliases worker scratch and is valid only during
+// the fold, exactly what Outcome's contract already says.
 func runJob(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (Outcome, error) {
-	if job.Source != nil && job.Trace == nil && job.Gen == nil {
-		if tc != nil && job.CacheKey != "" {
-			return runJobCached(job, index, ws, tc, reuse)
-		}
-		return runJobStreaming(job, index, ws, reuse)
-	}
-	tr := job.Trace
-	if tr == nil {
-		tr = job.Gen(job.Seed)
-	}
-	baseSlot, mainSlot := ws.slots(reuse)
 	out := Outcome{Index: index, Job: job}
-	if job.Baseline {
-		base, err := ws.runTrace(baseSlot, tr, job.Profile, policy.StatusQuo{}, nil, job.Opts)
-		if err != nil {
-			return out, fmt.Errorf("baseline: %w", err)
-		}
-		out.Baseline = base
-	}
-	demote, active, err := ws.policyPair(job,
-		policyCacheKey{key: job.PolicyKey, prof: job.Profile},
-		func() (trace.Trace, error) { return tr, nil })
-	if err != nil {
-		return out, err
-	}
-	res, err := ws.runTrace(mainSlot, tr, job.Profile, demote, active, job.Opts)
-	if err != nil {
-		return out, err
-	}
-	out.Result = res
-	return out, nil
-}
-
-// runJobCached replays a cacheable Source job from the trace cache: the
-// first toucher of the job's key streams the generator through the
-// rrcstream codec into a shared byte slab (single-flight — concurrent
-// cells wait rather than duplicate the generation) and every replay
-// decodes zero-copy out of those bytes. The codec round-trips exactly
-// and sim.Run(Source) is byte-identical on the same packets, so results
-// match the streaming path bit for bit. Policy factories keep the
-// streaming path's semantics — nil trace unless FitTrace, in which case
-// the fit trace materializes from the slab (not from a fresh generation)
-// and the fitted pair is memoized per worker under (scheme, trace,
-// profile).
-func runJobCached(job *Job, index int, ws *workerState, tc *TraceCache, reuse bool) (Outcome, error) {
-	out := Outcome{Index: index, Job: job}
-	slab, err := tc.Slab(job.CacheKey, func() trace.Source { return job.Source(job.Seed) })
-	if err != nil {
-		return out, fmt.Errorf("memoizing source: %w", err)
-	}
 	ck := policyCacheKey{key: job.PolicyKey, prof: job.Profile}
-	var fit func() (trace.Trace, error)
-	if job.FitTrace {
-		ck.fit = job.CacheKey
-		fit = func() (trace.Trace, error) {
-			if err := ws.bytes.Reset(slab); err != nil {
-				return nil, err
-			}
-			return trace.Collect(&ws.bytes)
+	var slab []byte
+	if tc != nil && job.CacheKey != "" {
+		var err error
+		if slab, err = tc.Slab(job.CacheKey, func() trace.Source { return job.Source(job.Seed) }); err != nil {
+			return out, fmt.Errorf("memoizing source: %w", err)
+		}
+		if job.FitTrace {
+			ck.fit = job.CacheKey
 		}
 	}
-	demote, active, err := ws.policyPair(job, ck, fit)
+	demote, active, err := ws.policyPair(job, ck, slab)
 	if err != nil {
 		return out, err
 	}
-	baseSlot, mainSlot := ws.slots(reuse)
 	if job.Baseline {
-		if err := ws.bytes.Reset(slab); err != nil {
-			return out, err
-		}
-		base, err := ws.runSrc(baseSlot, &ws.bytes, job.Profile, policy.StatusQuo{}, nil, job.Opts)
-		if err != nil {
+		if out.Baseline, err = ws.replay(&ws.base, reuse, job, slab, policy.StatusQuo{}, nil); err != nil {
 			return out, fmt.Errorf("baseline: %w", err)
 		}
-		out.Baseline = base
 	}
-	if err := ws.bytes.Reset(slab); err != nil {
+	if out.Result, err = ws.replay(&ws.main, reuse, job, slab, demote, active); err != nil {
 		return out, err
 	}
-	res, err := ws.runSrc(mainSlot, &ws.bytes, job.Profile, demote, active, job.Opts)
-	if err != nil {
-		return out, err
-	}
-	out.Result = res
 	return out, nil
-}
-
-// runJobStreaming replays a Source job without materializing: each replay
-// pulls a fresh source from the constructor, so worker memory stays
-// bounded by burst structure regardless of trace duration. Policy
-// factories receive a nil trace, unless FitTrace is set — then the source
-// is collected once for the fit pass, the factories run against the
-// materialized trace, and the slice is dropped before the replays start,
-// so only the fit is O(trace) and the replays stream like any other job
-// (sim.RunSource and sim.Run are byte-identical on the same packets, so
-// fitting materialized and replaying streamed changes nothing).
-func runJobStreaming(job *Job, index int, ws *workerState, reuse bool) (Outcome, error) {
-	out := Outcome{Index: index, Job: job}
-	demote, active, err := fitPolicies(job, ws)
-	if err != nil {
-		return out, err
-	}
-	baseSlot, mainSlot := ws.slots(reuse)
-	if job.Baseline {
-		base, err := ws.runSrc(baseSlot, job.Source(job.Seed), job.Profile, policy.StatusQuo{}, nil, job.Opts)
-		if err != nil {
-			return out, fmt.Errorf("baseline: %w", err)
-		}
-		out.Baseline = base
-	}
-	res, err := ws.runSrc(mainSlot, job.Source(job.Seed), job.Profile, demote, active, job.Opts)
-	if err != nil {
-		return out, err
-	}
-	out.Result = res
-	return out, nil
-}
-
-// fitPolicies constructs a streaming job's policy pair. For FitTrace jobs
-// the source is collected inside the fit supplier so the fit-pass trace
-// is a local that becomes unreachable — and collectable — as soon as
-// construction returns, before any replay allocates its lookahead.
-func fitPolicies(job *Job, ws *workerState) (policy.DemotePolicy, policy.ActivePolicy, error) {
-	ck := policyCacheKey{key: job.PolicyKey, prof: job.Profile}
-	var fit func() (trace.Trace, error)
-	if job.FitTrace {
-		fit = func() (trace.Trace, error) {
-			tr, err := trace.Collect(job.Source(job.Seed))
-			if err != nil {
-				return nil, fmt.Errorf("collecting source for fit: %w", err)
-			}
-			return tr, nil
-		}
-	}
-	return ws.policyPair(job, ck, fit)
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -150,10 +151,13 @@ func TestRunPropagatesFirstErrorInJobOrder(t *testing.T) {
 
 // TestJobValidation rejects unusable jobs up front.
 func TestJobValidation(t *testing.T) {
-	if _, err := RunSummary([]Job{{Profile: power.Verizon3G}}, Options{}, SummaryConfig{}); err == nil {
-		t.Fatal("job without trace/gen accepted")
-	}
 	jobs := testJobs(t, 1)
+	jobs[0].Source = nil
+	_, err := RunSummary(jobs, Options{}, SummaryConfig{})
+	if err == nil || !strings.Contains(err.Error(), "has no Source") {
+		t.Fatalf("job without Source: got %v, want a missing-Source error", err)
+	}
+	jobs = testJobs(t, 1)
 	jobs[0].Demote = nil
 	if _, err := RunSummary(jobs, Options{}, SummaryConfig{}); err == nil {
 		t.Fatal("job without demote factory accepted")
@@ -171,8 +175,9 @@ func TestEmptyJobList(t *testing.T) {
 	}
 }
 
-// TestExplicitTraceJobs exercises the Trace (no Gen) path with a
-// trace-fitted baseline, as cmd/rrcsim submits them.
+// TestExplicitTraceJobs replays a fixed, materialized trace (as the
+// figure experiments submit them) through a trace-fitted factory: the
+// 95% IAT factory must see exactly that trace and the job must aggregate.
 func TestExplicitTraceJobs(t *testing.T) {
 	base := Cohort{Users: 1, Seed: 3, Duration: 15 * time.Minute}
 	src := base.Jobs(power.Verizon3G, []Scheme{MakeIdleScheme()})[0].Source
@@ -182,12 +187,16 @@ func TestExplicitTraceJobs(t *testing.T) {
 	}
 	jobs := []Job{{
 		Seed:    1,
-		Trace:   fixed,
+		Source:  func(int64) trace.Source { return fixed.Source() },
 		Profile: power.Verizon3G,
 		Scheme:  "95% IAT",
 		Demote: func(tr trace.Trace, _ power.Profile) (policy.DemotePolicy, error) {
+			if !reflect.DeepEqual(tr, fixed) {
+				t.Errorf("95%% IAT factory saw %d packets, want the fixed %d-packet trace", len(tr), len(fixed))
+			}
 			return policy.NewPercentileIAT(tr, 0.95), nil
 		},
+		FitTrace: true,
 		Baseline: true,
 	}}
 	s, err := RunSummary(jobs, Options{}, SummaryConfig{})
@@ -196,5 +205,53 @@ func TestExplicitTraceJobs(t *testing.T) {
 	}
 	if s.Schemes["95% IAT"].Energy.N != 1 {
 		t.Fatalf("trace job not aggregated: %s", s)
+	}
+}
+
+// TestPolicyCacheSeparatesRegistries: two registries may register the same
+// schema name with different builders, and the process-wide worker policy
+// cache must not hand one registry's policy to the other's jobs. Each run
+// must match the same jobs with policy reuse disabled.
+func TestPolicyCacheSeparatesRegistries(t *testing.T) {
+	var runs []*Summary
+	for _, wait := range []time.Duration{time.Second, 10 * time.Second} {
+		reg := policy.NewRegistry()
+		for _, s := range []*policy.Schema{
+			{Name: "mine", Role: policy.RoleDemote,
+				NewDemote: func(policy.Params, trace.Trace, power.Profile) (policy.DemotePolicy, error) {
+					return &policy.FixedTail{Wait: wait}, nil
+				}},
+			{Name: ActiveNone, Role: policy.RoleActive,
+				NewActive: func(policy.Params, trace.Trace, power.Profile) (policy.ActivePolicy, error) {
+					return nil, nil
+				}},
+		} {
+			if err := reg.Register(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rs, err := ResolveScheme(reg, SchemeSpec{Policy: policy.Spec{Name: "mine"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := testCohort(2).Jobs(power.Verizon3G, []Scheme{rs.Scheme})
+		got, err := RunSummary(jobs, Options{Workers: 1}, SummaryConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range jobs {
+			jobs[i].PolicyKey = ""
+		}
+		want, err := RunSummary(jobs, Options{Workers: 1}, SummaryConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("wait=%v: cached-policy run differs from fresh-policy run:\n%s\nvs\n%s", wait, got, want)
+		}
+		runs = append(runs, got)
+	}
+	if reflect.DeepEqual(runs[0], runs[1]) {
+		t.Fatal("1s and 10s tails produced identical summaries; the test lost its power")
 	}
 }

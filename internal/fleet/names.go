@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"strconv"
 	"time"
 
 	"repro/internal/policy"
@@ -85,12 +86,13 @@ func ResolveScheme(reg *policy.Registry, ss SchemeSpec) (ResolvedScheme, error) 
 			return a.Schema.NewActive(a.Params, tr, prof)
 		}
 	}
-	// Registry-built factories are pure functions of the canonical spec,
-	// the fit trace and the profile, so every registry scheme advertises a
-	// policy reuse key: non-fitted schemes reuse per (key, profile),
-	// trace-fitted ones per (key, trace cache key, profile) — the workers'
-	// fit-output memoization.
-	s.PolicyKey = d.Canonical + "|" + a.Canonical
+	// Registry-built factories are pure functions of the registry, the
+	// canonical spec, the fit trace and the profile, so every registry
+	// scheme advertises a policy reuse key: non-fitted schemes reuse per
+	// (key, profile), trace-fitted ones per (key, trace cache key, profile)
+	// — the workers' fit-output memoization. The registry ID keeps two
+	// registries' same-named schemas apart in the process-wide worker cache.
+	s.PolicyKey = strconv.FormatUint(reg.ID(), 10) + "|" + d.Canonical + "|" + a.Canonical
 	return ResolvedScheme{
 		Scheme:    s,
 		Label:     label,

@@ -24,20 +24,18 @@ func summaryJSON(t *testing.T, s *fleet.Summary) []byte {
 	return b
 }
 
-// materialize converts Source jobs into Gen jobs (the pre-streaming form)
-// without changing anything else.
-func materialize(jobs []fleet.Job) []fleet.Job {
+// materialize is the materialized reference: it collects each job's
+// generated packets into a slice up front and replaces the generator with
+// a slice-backed source over it, changing nothing else.
+func materialize(t *testing.T, jobs []fleet.Job) []fleet.Job {
+	t.Helper()
 	out := make([]fleet.Job, len(jobs))
 	for i, j := range jobs {
-		src := j.Source
-		j.Source = nil
-		j.Gen = func(seed int64) trace.Trace {
-			tr, err := trace.Collect(src(seed))
-			if err != nil {
-				panic(err)
-			}
-			return tr
+		tr, err := trace.Collect(j.Source(j.Seed))
+		if err != nil {
+			t.Fatal(err)
 		}
+		j.Source = func(int64) trace.Source { return tr.Source() }
 		out[i] = j
 	}
 	return out
@@ -51,7 +49,7 @@ func TestStreamedCohortMatchesMaterialized(t *testing.T) {
 	cohort := fleet.Cohort{Users: 10, Seed: 5, Duration: 45 * time.Minute, Diurnal: true}
 	schemes := []fleet.Scheme{fleet.MakeIdleScheme(), fleet.CombinedScheme()}
 	streamed := cohort.Jobs(power.Verizon3G, schemes)
-	slices := materialize(cohort.Jobs(power.Verizon3G, schemes))
+	slices := materialize(t, cohort.Jobs(power.Verizon3G, schemes))
 
 	var want []byte
 	for _, workers := range []int{1, 3, 8} {
@@ -76,8 +74,9 @@ func TestStreamedCohortMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestFitTraceSchemeStreams: a trace-fitted scheme (95% IAT) on Source
-// jobs materializes in-worker and still matches the Gen-backed run.
+// TestFitTraceSchemeStreams: a trace-fitted scheme (95% IAT) on
+// generator-backed jobs materializes in-worker and still matches the run
+// over pre-materialized traces.
 func TestFitTraceSchemeStreams(t *testing.T) {
 	rs, err := fleet.ResolveScheme(policy.Default(), fleet.SchemeSpec{Policy: policy.Spec{Name: "95iat"}})
 	if err != nil {
@@ -89,7 +88,7 @@ func TestFitTraceSchemeStreams(t *testing.T) {
 	}
 	cohort := fleet.Cohort{Users: 4, Seed: 9, Duration: 30 * time.Minute}
 	streamed := cohort.Jobs(power.Verizon3G, []fleet.Scheme{scheme})
-	slices := materialize(cohort.Jobs(power.Verizon3G, []fleet.Scheme{scheme}))
+	slices := materialize(t, cohort.Jobs(power.Verizon3G, []fleet.Scheme{scheme}))
 	s1, err := fleet.RunSummary(streamed, fleet.Options{Workers: 2, Shards: 2}, fleet.SummaryConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +134,7 @@ func TestFitPassSeesTraceThenReplayStreams(t *testing.T) {
 	if calls != 3 || fits != 3 {
 		t.Fatalf("factory saw %d/%d materialized traces, want 3/3", fits, calls)
 	}
-	slices := materialize(cohort.Jobs(power.Verizon3G, []fleet.Scheme{scheme}))
+	slices := materialize(t, cohort.Jobs(power.Verizon3G, []fleet.Scheme{scheme}))
 	s2, err := fleet.RunSummary(slices, fleet.Options{Workers: 1, Shards: 1}, fleet.SummaryConfig{})
 	if err != nil {
 		t.Fatal(err)

@@ -103,9 +103,9 @@ func WithMinSample(n int) MakeIdleOption {
 // instead of only on the no-arrival branch. Under that formula f(t_wait)
 // is maximized at t_wait = 0 whenever demotion is profitable at all, so
 // the policy degenerates to demote-immediately-or-never. Kept as an
-// ablation (DESIGN.md §5, decision 2); the default is the full strategy
-// expectation, which the paper's step-1 conditional-probability argument
-// implies.
+// ablation (BenchmarkAblationExpectation measures it); the default is the
+// full strategy expectation, which the paper's step-1
+// conditional-probability argument implies.
 func WithPaperExpectation() MakeIdleOption {
 	return func(c *makeIdleConfig) { c.paperExp = true }
 }

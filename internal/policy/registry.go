@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/energy"
@@ -72,15 +73,24 @@ func (s *Schema) validateRole() error {
 // have.
 type Registry struct {
 	regs map[Role]*spec.Registry
+	id   uint64
 }
+
+// registryIDs numbers registries in creation order (see Registry.ID).
+var registryIDs atomic.Uint64
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{regs: map[Role]*spec.Registry{
 		RoleDemote: spec.NewRegistry("demote policy", nil),
 		RoleActive: spec.NewRegistry("active policy", nil),
-	}}
+	}, id: registryIDs.Add(1)}
 }
+
+// ID identifies the registry within the process: no two registries share
+// one. Canonical spec encodings name a schema but not the registry that
+// builds it, so process-wide caches of built policies key on ID as well.
+func (r *Registry) ID() uint64 { return r.id }
 
 // reg returns the role's underlying registry (an empty one for unknown
 // roles, so lookups fail with the registry's own error paths).

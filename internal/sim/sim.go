@@ -204,14 +204,13 @@ type Engine struct {
 	packets int
 
 	// Scratch buffers reused across runs (never escape to the Result).
-	group    []trace.Burst     //rrclint:scratch
-	merged   trace.Trace       //rrclint:scratch
-	mergeTmp trace.Trace       //rrclint:scratch
-	runs     []int             //rrclint:scratch
-	runsTmp  []int             //rrclint:scratch
-	arrivals []time.Duration   //rrclint:scratch
-	window   burstWindow       //rrclint:scratch
-	slice    trace.SliceSource //rrclint:scratch
+	group    []trace.Burst   //rrclint:scratch
+	merged   trace.Trace     //rrclint:scratch
+	mergeTmp trace.Trace     //rrclint:scratch
+	runs     []int           //rrclint:scratch
+	runsTmp  []int           //rrclint:scratch
+	arrivals []time.Duration //rrclint:scratch
+	window   burstWindow     //rrclint:scratch
 }
 
 // NewEngine returns a reusable replay engine.
@@ -230,37 +229,17 @@ func (e *Engine) Reset() {
 	group, merged, arrivals := e.group[:0], e.merged[:0], e.arrivals[:0]
 	window := e.window
 	window.reset(nil, 0) // recycle burst buffers, drop the source reference
-	// The slice adapter survives Reset unrewound: RunSource resets the
-	// engine after wiring it up, so zeroing it here would drop the very
-	// trace Run is about to replay. Run clears it once the replay ends.
-	slice := e.slice
-	*e = Engine{group: group, merged: merged, arrivals: arrivals, window: window, slice: slice,
+	*e = Engine{group: group, merged: merged, arrivals: arrivals, window: window,
 		mergeTmp: e.mergeTmp[:0], runs: e.runs[:0], runsTmp: e.runsTmp[:0],
 		forceGeneric: e.forceGeneric}
 }
 
 // Run replays one materialized trace on this engine. Semantics are
-// identical to the package-level Run; internally the trace is replayed
-// through the same streaming path RunSource uses, so the two agree bit for
-// bit on identical packets.
+// identical to the package-level Run; the trace is replayed through a
+// slice-backed source on the same streaming path RunSource uses, so the
+// two agree bit for bit on identical packets.
 func (e *Engine) Run(tr trace.Trace, prof power.Profile, demote policy.DemotePolicy, active policy.ActivePolicy, opts *Options) (*Result, error) {
-	res := new(Result)
-	if err := e.RunInto(res, tr, prof, demote, active, opts); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// RunInto is Run writing into a caller-owned Result: res is overwritten
-// wholesale, reusing its slice capacity, so a caller replaying in a loop
-// allocates no Result (and, steady-state, no slices) per run. The fields
-// are byte-identical to what Run would have returned. On error res is left
-// in an unspecified state.
-func (e *Engine) RunInto(res *Result, tr trace.Trace, prof power.Profile, demote policy.DemotePolicy, active policy.ActivePolicy, opts *Options) error {
-	e.slice.Reset(tr)
-	err := e.RunSourceInto(res, &e.slice, prof, demote, active, opts)
-	e.slice.Reset(nil) // drop the trace reference until the next run
-	return err
+	return e.RunSource(tr.Source(), prof, demote, active, opts)
 }
 
 // RunSource replays a streaming packet source on this engine. Semantics
@@ -276,8 +255,11 @@ func (e *Engine) RunSource(src trace.Source, prof power.Profile, demote policy.D
 	return res, nil
 }
 
-// RunSourceInto is RunSource writing into a caller-owned Result (see
-// RunInto for the reuse contract).
+// RunSourceInto is RunSource writing into a caller-owned Result: res is
+// overwritten wholesale, reusing its slice capacity, so a caller replaying
+// in a loop allocates no Result (and, steady-state, no slices) per run.
+// The fields are byte-identical to what RunSource would have returned. On
+// error res is left in an unspecified state.
 func (e *Engine) RunSourceInto(res *Result, src trace.Source, prof power.Profile, demote policy.DemotePolicy, active policy.ActivePolicy, opts *Options) error {
 	if err := prof.Validate(); err != nil {
 		return err

@@ -2,7 +2,7 @@
 // paper's real user captures (tcpdump on 9 users over 28 days, plus 2-hour
 // per-application traces; §6.1).
 //
-// The substitution is documented in DESIGN.md: the algorithms under study
+// The substitution is sound because the algorithms under study
 // see only packet timestamps, directions and sizes, so what matters is the
 // statistical structure of the traffic — heartbeat cadence, poll periods,
 // burst shapes and heavy-tailed think times — which these models produce
