@@ -157,8 +157,18 @@ func BenchmarkAlgorithmOverhead(b *testing.B) {
 }
 
 // BenchmarkMakeIdleDecision isolates the §4.2 decision (the per-packet
-// expected-energy maximization over the wait grid).
+// expected-energy maximization over the wait grid). The window=N cases
+// slide a periodic sawtooth of gaps through windows of N; the trace case
+// replays the gaps of a generated study-3g user (a day of the cohort's
+// diurnal first mix) at the §4.2 defaults. Each reports how many waits per
+// decision the certified search re-evaluated exactly.
 func BenchmarkMakeIdleDecision(b *testing.B) {
+	report := func(b *testing.B, mi *policy.MakeIdle) {
+		decisions, rechecks := mi.DecisionStats()
+		if decisions > 0 {
+			b.ReportMetric(float64(rechecks)/float64(decisions), "rechecks/decision")
+		}
+	}
 	for _, n := range []int{10, 50, 100, 400} {
 		b.Run(fmt.Sprintf("window=%d", n), func(b *testing.B) {
 			mi, err := policy.NewMakeIdle(power.Verizon3G, policy.WithWindowSize(n))
@@ -173,8 +183,29 @@ func BenchmarkMakeIdleDecision(b *testing.B) {
 				mi.Observe(time.Duration(i%50) * 100 * time.Millisecond)
 				mi.Decide(0)
 			}
+			report(b, mi)
 		})
 	}
+	b.Run("trace", func(b *testing.B) {
+		tr := workload.DayUser(workload.Verizon3GUsers()[0]).Generate(1, 24*time.Hour)
+		gaps := make([]time.Duration, len(tr)-1)
+		for i := range gaps {
+			gaps[i] = tr[i+1].T - tr[i].T
+		}
+		mi, err := policy.NewMakeIdle(power.Verizon3G)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, g := range gaps[:100] {
+			mi.Observe(g)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mi.Observe(gaps[i%len(gaps)])
+			mi.Decide(0)
+		}
+		report(b, mi)
+	})
 }
 
 // BenchmarkSimulator measures raw engine throughput (packets/second of
